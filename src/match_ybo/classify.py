@@ -27,9 +27,9 @@ from .diagrams import (
     configuration_perm,
     orbit,
 )
-from .errors import InadmissibleEdgeError, NotASolutionError
-from .matchcat import act_flip, act_perm, block, edge_pairs, invertible, matrix
-from .recipe import Germ, ParamPoint
+from .errors import InadmissibleEdgeError, MalformedInputError, NotASolutionError
+from .matchcat import act_flip, act_perm, block, edge_pairs, invertible, matrix, x_equivalent
+from .recipe import Germ, ParamPoint, rec
 from .scalars import rational_sqrt
 from .ybe import constraint_residuals
 
@@ -75,25 +75,17 @@ class EdgeLabelI(str, Enum):
     AMINUS = "a-"
 
 
-_COARSE = {
-    EdgeLabelI.ZERO: EdgeLabelH.ZERO,
-    EdgeLabelI.SLASH: EdgeLabelH.SLASH,
-    EdgeLabelI.FPLUS: EdgeLabelH.PLUS,
-    EdgeLabelI.APLUS: EdgeLabelH.PLUS,
-    EdgeLabelI.FMINUS: EdgeLabelH.MINUS,
-    EdgeLabelI.AMINUS: EdgeLabelH.MINUS,
-}
+# Every label, coarse or fine, to its coarse label: a fine label is its coarse
+# label, prefixed by f or a when signed.  Members hash and compare as their
+# strings, so the strings look up too.
+_COARSE = {label: EdgeLabelH(label.value[-1]) for label in (*EdgeLabelH, *EdgeLabelI)}
 
 
 def coarsen(label) -> EdgeLabelH:
-    if isinstance(label, EdgeLabelH):
-        return label
-    if isinstance(label, EdgeLabelI):
-        return _COARSE[label]
     try:
-        return EdgeLabelH(label)
-    except ValueError:
-        return _COARSE[EdgeLabelI(label)]
+        return _COARSE[label]
+    except KeyError:
+        raise ValueError(f"not an edge label: {label!r}") from None
 
 
 def label_edge(m, i, j) -> EdgeLabelI:
@@ -134,8 +126,6 @@ def admissible(m) -> bool:
 
 # Triangles of coarse labels, listed (h12, h13, h23).
 
-H_LABELS = (EdgeLabelH.ZERO, EdgeLabelH.SLASH, EdgeLabelH.PLUS, EdgeLabelH.MINUS)
-
 _H_BLOCK = {
     EdgeLabelH.ZERO: (1, 0, 0, 1),
     EdgeLabelH.SLASH: (0, 1, 1, 0),
@@ -146,16 +136,6 @@ _H_BLOCK = {
 _TRIANGLE_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 
-def _h_of_block(blk):
-    if blk.b == 0 and blk.c == 0:
-        return EdgeLabelH.ZERO
-    if blk.a == 0 and blk.d == 0:
-        return EdgeLabelH.SLASH
-    if blk.d == 0:
-        return EdgeLabelH.PLUS
-    return EdgeLabelH.MINUS
-
-
 def _triangle_matrix(triple):
     es = {
         pair: block(*_H_BLOCK[EdgeLabelH(t)])
@@ -164,21 +144,23 @@ def _triangle_matrix(triple):
     return matrix([1, 1, 1], es)
 
 
+def _triangle_labels(m):
+    return tuple(coarsen(label_edge(m, *p)) for p in _TRIANGLE_PAIRS)
+
+
 def triangle_perm(triple, perm):
-    img = act_perm(_triangle_matrix(triple), perm)
-    return tuple(_h_of_block(img.edges[p]) for p in _TRIANGLE_PAIRS)
+    return _triangle_labels(act_perm(_triangle_matrix(triple), perm))
 
 
 def triangle_flip(triple):
-    img = act_flip(_triangle_matrix(triple))
-    return tuple(_h_of_block(img.edges[p]) for p in _TRIANGLE_PAIRS)
+    return _triangle_labels(act_flip(_triangle_matrix(triple)))
 
 
-_H_ORDER = {EdgeLabelH.ZERO: 0, EdgeLabelH.SLASH: 1, EdgeLabelH.PLUS: 2, EdgeLabelH.MINUS: 3}
+_H_ORDER = tuple(EdgeLabelH)
 
 
 def _triple_key(triple):
-    return tuple(_H_ORDER[t] for t in triple)
+    return tuple(_H_ORDER.index(t) for t in triple)
 
 
 def orbit_of_triple(triple):
@@ -202,7 +184,7 @@ def g3_orbits():
     """All orbits of coarse triangles, sorted by least member."""
     seen = set()
     orbits = []
-    for triple in product(H_LABELS, repeat=3):
+    for triple in product(EdgeLabelH, repeat=3):
         if triple in seen:
             continue
         orb = orbit_of_triple(triple)
@@ -351,8 +333,15 @@ def recover_colours(m, ordered_counties, labels=None):
 def classify(m) -> Germ:
     """Full inverse: matching data and parameters of a solution.
 
-    Raises NotASolutionError when the matrix is not an invertible solution or
-    any recovery step finds an inconsistency.
+    The germ is read off the edge labels and vertex scalars, then certified
+    by rebuilding it: m is accepted only when it is X-equivalent to rec of
+    that germ.  rec builds a solution from every germ and X-equivalence
+    preserves the braid relation, so an accepted matrix is a solution, and by
+    the classification every invertible solution is accepted.  Only a
+    rejected matrix is run through the constraint system, so that the error
+    names a failing relation when there is one.
+
+    Raises NotASolutionError when the matrix is not an invertible solution.
     """
     if not invertible(m):
         raise NotASolutionError("matrix is not invertible")
@@ -360,10 +349,25 @@ def classify(m) -> Germ:
         labels = edge_labels(m)
     except InadmissibleEdgeError as exc:
         raise NotASolutionError(f"not labellable: {exc}") from exc
+    try:
+        germ = _read_germ(m, labels)
+    except (NotASolutionError, MalformedInputError) as exc:
+        raise _rejection(m, str(exc)) from exc
+    if not x_equivalent(rec(germ), m):
+        raise _rejection(m, "matrix is not X-equivalent to the operator of its germ")
+    return germ
+
+
+def _rejection(m, reason):
+    """The error for a rejected m: its first constraint witness, if any."""
     rep = constraint_residuals(m)
     if not rep.zero:
-        raise NotASolutionError(f"constraints fail, first witness {rep.witnesses[0]}")
+        reason = f"constraints fail, first witness {rep.witnesses[0]}"
+    return NotASolutionError(reason)
 
+
+def _read_germ(m, labels):
+    """The germ whose operator m must be; parameters are read, not checked."""
     nations = []
     alpha = {}
     beta = {}
@@ -372,50 +376,29 @@ def classify(m) -> Germ:
         ordered = recover_order(m, counties, labels)
         tags = recover_colours(m, ordered, labels)
         nations.append(Nation(tuple(County(c, t) for c, t in zip(ordered, tags))))
-        a = m.vertices[ordered[0][0] - 1]
-        alpha[idx] = a
-        if len(ordered) >= 2:
-            if "second" in tags:
-                k = tags.index("second")
-                b = m.vertices[ordered[k][0] - 1]
-            else:
-                u, v = ordered[0][0], ordered[1][0]
-                blk = m.edges[(min(u, v), max(u, v))]
-                b = blk.a + blk.d - a
-            if b == 0 or a + b == 0:
-                raise NotASolutionError(f"degenerate parameters in nation {idx}")
-            beta[idx] = b
-            for u, v in combinations(nat_v, 2):
-                if coarsen(labels[(u, v)]) in (EdgeLabelH.PLUS, EdgeLabelH.MINUS):
-                    blk = m.edges[(u, v)]
-                    if blk.a + blk.d != a + b or blk.b * blk.c != -a * b:
-                        raise NotASolutionError(
-                            f"edge ({u},{v}) inconsistent with nation parameters"
-                        )
+        alpha[idx] = m.vertices[ordered[0][0] - 1]
+        if "second" in tags:
+            beta[idx] = m.vertices[ordered[tags.index("second")][0] - 1]
+        elif len(ordered) >= 2:
+            u, v = sorted((ordered[0][0], ordered[1][0]))
+            blk = m.edges[(u, v)]
+            beta[idx] = blk.a + blk.d - alpha[idx]
 
-    config = Configuration(m.n, tuple(nations))
+    vert_nation = {v: i for i, nat in enumerate(nations, start=1) for v in nat.vertices}
     mu = {}
     mu_sq = {}
-    vert_nation = {v: i for i, nat in enumerate(nations, start=1) for v in nat.vertices}
-    products = {}
     for u, v in edge_pairs(m.n):
-        iu, iv = vert_nation[u], vert_nation[v]
-        if iu == iv:
+        key = tuple(sorted((vert_nation[u], vert_nation[v])))
+        if key[0] == key[1] or key in mu or key in mu_sq:
             continue
-        key = (min(iu, iv), max(iu, iv))
         blk = m.edges[(u, v)]
         prod = blk.b * blk.c
-        if key in products:
-            if products[key] != prod:
-                raise NotASolutionError(f"slash products differ between nations {key}")
-        else:
-            products[key] = prod
-    for key, prod in products.items():
         root = rational_sqrt(prod)
-        if root is not None and root > 0:
+        if root is not None:
             mu[key] = root
         else:
             mu_sq[key] = prod
+    config = Configuration(m.n, tuple(nations))
     return Germ(config, ParamPoint(mu=mu, alpha=alpha, beta=beta, mu_sq=mu_sq))
 
 

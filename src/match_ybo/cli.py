@@ -35,8 +35,11 @@ def emit(obj):
 
 
 def _load(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"{path} is not ASCII: {exc}") from exc
 
 
 def _seed(args):
@@ -170,6 +173,8 @@ def cmd_orbit(args):
 
 
 def cmd_fibre(args):
+    if args.jobs < 1:
+        raise MalformedInputError(f"--jobs must be at least 1, got {args.jobs}")
     if args.type:
         emit(fibre_summary(parse_fibre_type(args.type), args.prime))
     else:

@@ -253,14 +253,6 @@ class Configuration:
                     return i
         raise MalformedInputError(f"no such vertex {v}")
 
-    def county_of(self, v):
-        """(nation index, county position), both 1-based."""
-        for i, nat in enumerate(self.nations, start=1):
-            for j, c in enumerate(nat.counties, start=1):
-                if v in c.vertices:
-                    return i, j
-        raise MalformedInputError(f"no such vertex {v}")
-
 
 def _sorted_nations(nations):
     return tuple(sorted(nations, key=lambda nat: min(nat.vertices)))

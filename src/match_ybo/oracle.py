@@ -21,12 +21,11 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
+from .classify import EdgeLabelH, EdgeLabelI, _triple_key, coarsen, g3_orbits
 from .errors import MalformedInputError
 from .ybe import PAIR_POLYS, PAIR_REINDEX, TRIPLE_POLYS, TRIPLE_REINDEX, eval_poly
 
-H_TOKENS = ("0", "/", "+", "-")
-FINE_TOKENS = ("f+", "a+", "f-", "a-")
-
+_TOKENS = {label.value for label in (*EdgeLabelH, *EdgeLabelI)}
 _EDGE_OFFSETS = (3, 7, 11)
 _VERTEX_PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -38,13 +37,9 @@ def parse_fibre_type(text):
 
 def _check_type(tokens):
     tokens = tuple(str(t) for t in tokens)
-    if len(tokens) != 3 or any(t not in H_TOKENS + FINE_TOKENS for t in tokens):
+    if len(tokens) != 3 or any(t not in _TOKENS for t in tokens):
         raise MalformedInputError(f"bad fibre type {tokens!r}")
     return tokens
-
-
-def _coarse(token):
-    return token[-1] if token in FINE_TOKENS else token
 
 
 def _is_prime(p):
@@ -89,23 +84,31 @@ def _pair_ok(vec6, p):
 def _block_candidates(coarse, s, t, p):
     """Gauged blocks with the given pattern passing both pair relations."""
     nz = range(1, p)
-    if coarse == "0":
+    if coarse is EdgeLabelH.ZERO:
         pool = [(a, 0, 0, d) for a in nz for d in nz]
-    elif coarse == "/":
+    elif coarse is EdgeLabelH.SLASH:
         pool = [(0, b, 1, 0) for b in nz]
-    elif coarse == "+":
+    elif coarse is EdgeLabelH.PLUS:
         pool = [(a, b, 1, 0) for a in nz for b in nz]
     else:
         pool = [(0, b, 1, d) for b in nz for d in nz]
     return tuple(blk for blk in pool if _pair_ok((s, t) + blk, p))
 
 
+# Signed fine labels pin whether the edge's two vertex scalars are equal.
+_SAME_SCALARS = {
+    EdgeLabelI.FPLUS: True,
+    EdgeLabelI.FMINUS: True,
+    EdgeLabelI.APLUS: False,
+    EdgeLabelI.AMINUS: False,
+}
+
+
 def _vertices_ok(ftype, scalars):
     for tok, (i, j) in zip(ftype, _VERTEX_PAIRS):
-        if tok in FINE_TOKENS:
-            same = scalars[i] == scalars[j]
-            if tok.startswith("f") != same:
-                return False
+        same = _SAME_SCALARS.get(tok)
+        if same is not None and same != (scalars[i] == scalars[j]):
+            return False
     return True
 
 
@@ -120,7 +123,7 @@ def fibre_scan(ftype, prime):
     """Yield every gauged hit of the fibre over F_prime."""
     ftype = _check_type(ftype if not isinstance(ftype, str) else parse_fibre_type(ftype))
     _check_prime(prime)
-    coarse = tuple(_coarse(t) for t in ftype)
+    coarse = tuple(coarsen(t) for t in ftype)
     nz = range(1, prime)
     for scalars in product(nz, repeat=3):
         if not _vertices_ok(ftype, scalars):
@@ -161,6 +164,11 @@ def x_rescale(vec, edge, x, p):
     return tuple(out)
 
 
+# Enum member lookups are slow enough to show in this per-hit check.
+_ZERO, _SLASH = EdgeLabelH.ZERO, EdgeLabelH.SLASH
+_SIGNS = (EdgeLabelH.PLUS, EdgeLabelH.MINUS)
+
+
 def hit_in_family(ftype, vec, prime):
     """Membership of one hit in the fibre's parametrized family.
 
@@ -169,25 +177,21 @@ def hit_in_family(ftype, vec, prime):
     equal slash products; the signed blocks of an all-sign or one-zero fibre
     share trace and product.
     """
-    coarse = tuple(_coarse(t) for t in ftype)
-    n_slash = coarse.count("/")
-    n_zero = coarse.count("0")
+    coarse = tuple(coarsen(t) for t in ftype)
+    n_slash = coarse.count(_SLASH)
+    n_zero = coarse.count(_ZERO)
     n_sign = 3 - n_slash - n_zero
 
-    def blocks(kind):
-        return [
-            vec[off:off + 4]
-            for c, off in zip(coarse, _EDGE_OFFSETS)
-            if c == kind or (kind == "s" and c in "+-")
-        ]
+    def blocks(kinds):
+        return [vec[off:off + 4] for c, off in zip(coarse, _EDGE_OFFSETS) if c in kinds]
 
     if n_slash == 3 or n_zero == 3:
         return True
     if n_slash == 2 and n_sign <= 1:
-        (a_, b_, c_, d_), (a2_, b2_, c2_, d2_) = blocks("/")
+        (a_, b_, c_, d_), (a2_, b2_, c2_, d2_) = blocks((_SLASH,))
         return b_ * c_ % prime == b2_ * c2_ % prime
     if n_sign == 3 or (n_zero == 1 and n_sign == 2):
-        sign_blocks = blocks("s")
+        sign_blocks = blocks(_SIGNS)
         traces = {(a_ + d_) % prime for a_, b_, c_, d_ in sign_blocks}
         prods = {b_ * c_ % prime for a_, b_, c_, d_ in sign_blocks}
         return len(traces) == 1 and len(prods) == 1
@@ -220,8 +224,6 @@ def _summary_job(args):
 
 def default_types():
     """Minimal representative of each coarse orbit, in orbit order."""
-    from .classify import _triple_key, g3_orbits
-
     reps = []
     for orb in g3_orbits():
         rep = min(orb, key=_triple_key)

@@ -17,8 +17,8 @@ _SCALAR_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
 def parse_scalar(text) -> Fraction:
-    """Parse "p" or "p/q" into a Fraction."""
-    if isinstance(text, int):
+    """Parse "p" or "p/q" (or an int, but not a bool) into a Fraction."""
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str) or not _SCALAR_RE.match(text):
         raise MalformedInputError(f"bad scalar {text!r}")

@@ -32,19 +32,21 @@ from .diagrams import (
     enumerate_transversal,
     euler_count,
 )
+from .errors import NotASolutionError
 from .matchcat import (
     EdgeBlock,
     MatchMatrix2,
     act_flip,
     act_perm,
     edge_pairs,
+    invertible,
     x_equivalent,
     x_normalize,
 )
 from .oracle import fibre_summary
 from .recipe import Germ, generic_point, rec
 from .signature import signature_check, signature_formula
-from .ybe import constraint_residuals, is_solution_by_subsets, ybe_residual_direct
+from .ybe import constraint_residuals, is_solution, is_solution_by_subsets, ybe_residual_direct
 
 TRANSVERSAL_COUNTS = (1, 4, 13, 46, 154)
 
@@ -138,6 +140,9 @@ def check_route_agreement(level):
         s = is_solution_by_subsets(m)
         if not d.zero == c.zero == s.zero:
             return False, f"route verdicts disagree on an n={m.n} matrix"
+        # ybe.is_solution(m), reusing the direct report
+        if _classify_accepts(m) != (invertible(m) and d.zero):
+            return False, f"classify disagrees with the braid check on an n={m.n} matrix"
         if d.zero:
             pos += 1
         else:
@@ -145,6 +150,14 @@ def check_route_agreement(level):
     if pos < 20 or neg < 20:
         return False, f"pool too lopsided: {pos} positive, {neg} negative"
     return True, f"{len(pool)} matrices, {pos} positive, {neg} negative, all routes agree"
+
+
+def _classify_accepts(m):
+    try:
+        classify(m)
+    except NotASolutionError:
+        return False
+    return True
 
 
 def check_subset_reduction(level):
@@ -354,7 +367,7 @@ def check_symmetries(level):
             return False, f"x_normalize not idempotent at n={n}"
         if act_flip(act_flip(m)) != m:
             return False, f"flip not an involution at n={n}"
-        if not (is_solution_full(act_flip(m)) and is_solution_full(xn)):
+        if not (is_solution(act_flip(m)) and is_solution(xn)):
             return False, f"flip or gauge breaks a solution at n={n}"
         perms = list(Permutation.all(n))
         if n >= 4:
@@ -362,14 +375,10 @@ def check_symmetries(level):
         for w in perms:
             if act_flip(act_perm(m, w)) != act_perm(act_flip(m), w):
                 return False, f"flip and relabelling do not commute at n={n}"
-            if not is_solution_full(act_perm(m, w)):
+            if not is_solution(act_perm(m, w)):
                 return False, f"relabelling breaks a solution at n={n}"
         count += 1
     return True, f"{count} operators pass the symmetry identities"
-
-
-def is_solution_full(m):
-    return ybe_residual_direct(m).zero
 
 
 ALL_CHECKS = (

@@ -66,32 +66,26 @@ def _nation_parts(nation):
     return (c + z1 - z2 + s1, c - z1 + z2 + s2)
 
 
+def _signature_parts(config):
+    """Each nation's nonzero parts, and each nation pair's product twice."""
+    nations = [tuple(p for p in _nation_parts(nat) if p > 0) for nat in config.nations]
+    sizes = [nat.size for nat in config.nations]
+    pairs = [sizes[i] * sizes[j] for j in range(1, len(sizes)) for i in range(j) for _ in range(2)]
+    return nations, pairs
+
+
 def signature_formula(config):
     """Predicted degeneracy partition at generic parameters."""
-    parts = []
-    sizes = [nat.size for nat in config.nations]
-    for nat in config.nations:
-        parts.extend(p for p in _nation_parts(nat) if p > 0)
-    for j in range(1, len(sizes)):
-        for i in range(j):
-            parts.extend((sizes[i] * sizes[j], sizes[i] * sizes[j]))
-    return tuple(sorted(parts, reverse=True))
+    nations, pairs = _signature_parts(config)
+    return tuple(sorted([p for parts in nations for p in parts] + pairs, reverse=True))
 
 
 def signature_notation(config) -> str:
     """Nation-by-nation display: "(n1,n1';n2:p12,p12,...)"."""
-    nation_bits = []
-    for nat in config.nations:
-        vals = [p for p in _nation_parts(nat) if p > 0]
-        nation_bits.append(",".join(str(p) for p in vals))
-    sizes = [nat.size for nat in config.nations]
-    pair_bits = []
-    for j in range(1, len(sizes)):
-        for i in range(j):
-            pair_bits.extend([str(sizes[i] * sizes[j])] * 2)
-    text = ";".join(nation_bits)
-    if pair_bits:
-        text += ":" + ",".join(pair_bits)
+    nations, pairs = _signature_parts(config)
+    text = ";".join(",".join(str(p) for p in parts) for parts in nations)
+    if pairs:
+        text += ":" + ",".join(str(p) for p in pairs)
     return "(" + text + ")"
 
 

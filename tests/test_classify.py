@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -27,8 +28,9 @@ from match_ybo.diagrams import (
     enumerate_transversal,
 )
 from match_ybo.errors import InadmissibleEdgeError, NotASolutionError
-from match_ybo.matchcat import act_perm, matrix, x_equivalent
-from match_ybo.recipe import Germ, generic_point, permute_germ, rec
+from match_ybo.matchcat import MatchMatrix2, act_perm, invertible, matrix, x_equivalent
+from match_ybo.recipe import Germ, ParamPoint, generic_point, permute_germ, rec
+from match_ybo.ybe import is_solution
 
 
 def germ_of(config, seed=0):
@@ -216,6 +218,78 @@ def test_classify_rejects_non_solutions():
     )
     with pytest.raises(NotASolutionError):
         classify(m)
+
+
+VALUES = [Fraction(v) for v in ("1", "-1", "2", "-2", "3", "4", "1/4", "-1/2", "3/2", "-5/3")]
+
+
+def non_generic_germ(config, rng):
+    """Parameters from a few values, so alpha = beta and equal mu are common."""
+    m = len(config.nations)
+    alpha = {i: rng.choice(VALUES) for i in range(1, m + 1)}
+    beta = {}
+    for i, nat in enumerate(config.nations, start=1):
+        if len(nat.counties) >= 2:
+            b = rng.choice((alpha[i], rng.choice(VALUES)))
+            beta[i] = b if alpha[i] + b != 0 else alpha[i]
+    mu, mu_sq = {}, {}
+    for j in range(2, m + 1):
+        for i in range(1, j):
+            (mu_sq if rng.random() < 0.4 else mu)[(i, j)] = rng.choice(VALUES)
+    return Germ(config, ParamPoint(mu=mu, alpha=alpha, beta=beta, mu_sq=mu_sq))
+
+
+def x_rescaled(m, rng):
+    edges = {}
+    for pair, blk in m.edges.items():
+        x = rng.choice(VALUES)
+        edges[pair] = blk._replace(b=blk.b * x, c=blk.c / x)
+    return MatchMatrix2(m.n, m.vertices, edges)
+
+
+def one_entry_corrupted(m, rng):
+    delta = rng.choice(VALUES)
+    if rng.random() < 0.2:
+        vertices = list(m.vertices)
+        vertices[rng.randrange(m.n)] += delta
+        return MatchMatrix2(m.n, tuple(vertices), m.edges)
+    edges = dict(m.edges)
+    pair = rng.choice(sorted(edges))
+    field = rng.choice("abcd")
+    edges[pair] = edges[pair]._replace(**{field: getattr(edges[pair], field) + delta})
+    return MatchMatrix2(m.n, m.vertices, edges)
+
+
+def test_classify_accepts_exactly_the_solutions():
+    rng = random.Random(2112)
+    pool = []
+    for n in range(2, 5):
+        for config in enumerate_transversal(n):
+            for _ in range(2):
+                w = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+                m = x_rescaled(act_perm(rec(non_generic_germ(config, rng)), w), rng)
+                pool.extend((m, one_entry_corrupted(m, rng)))
+    accepted = witnessed = 0
+    for m in pool:
+        try:
+            classify(m)
+        except NotASolutionError as exc:
+            assert not is_solution(m)
+            if invertible(m) and all_labellable(m):
+                assert str(exc).startswith("constraints fail, first witness")
+                witnessed += 1
+        else:
+            assert is_solution(m)
+            accepted += 1
+    assert accepted >= 100 and witnessed >= 50
+
+
+def all_labellable(m):
+    try:
+        edge_labels(m)
+    except InadmissibleEdgeError:
+        return False
+    return True
 
 
 def test_no_minus_rep():

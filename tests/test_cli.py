@@ -141,6 +141,28 @@ def test_malformed_input_exits_2(capsys, tmp_path):
     assert rc == 2
 
 
+def test_non_ascii_input_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes('{"n": 1, "vertices": ["1"], "edges": [], "note": "\u00e9"}'.encode("utf-8"))
+    rc, out = run(capsys, "verify", "--matrix", str(path))
+    assert rc == 2
+    assert "error" in json.loads(out)
+
+
+def test_boolean_scalar_exits_2(capsys, tmp_path):
+    path = write(tmp_path, "bool.json", {"n": 1, "vertices": [True], "edges": []})
+    rc, out = run(capsys, "verify", "--matrix", path)
+    assert rc == 2
+    assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_fibre_rejects_jobs_below_one(capsys, jobs):
+    rc, out = run(capsys, "fibre", "--prime", "5", "--jobs", jobs)
+    assert rc == 2
+    assert "error" in json.loads(out)
+
+
 def test_signature_config(capsys, tmp_path):
     config = enumerate_transversal(3)[1]
     path = write(tmp_path, "config.json", configuration_to_json(config))

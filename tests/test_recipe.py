@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from match_ybo.diagrams import (
     Configuration,
@@ -22,6 +23,7 @@ from match_ybo.recipe import (
     permute_germ,
     rec,
 )
+from match_ybo.ybe import ybe_residual_direct
 
 TWO_COUNTY = Configuration(
     3,
@@ -155,3 +157,44 @@ def test_germ_json_rejects_bad_pair_keys():
     data["mu"] = {"x": "3"}
     with pytest.raises(MalformedInputError):
         germ_from_json(data)
+
+
+# Nonzero scalars, negative and fractional ones included. So few values make
+# alpha = beta, equal mu and equal slash products common, and the squares
+# among them make some mu_sq entries rational squares.
+NONZERO = st.sampled_from(
+    [Fraction(v) for v in ("1", "-1", "2", "-2", "3", "4", "1/4", "-1/2", "3/2", "-5/3")]
+)
+
+
+def draw_point(data, config):
+    """Any valid parameter point, mu_sq entries included."""
+    m = len(config.nations)
+    alpha = {i: data.draw(NONZERO) for i in range(1, m + 1)}
+    beta = {}
+    for i, nat in enumerate(config.nations, start=1):
+        if len(nat.counties) >= 2:
+            a = alpha[i]
+            beta[i] = data.draw(st.one_of(st.just(a), NONZERO).filter(lambda b: a + b != 0))
+    mu, mu_sq = {}, {}
+    for j in range(2, m + 1):
+        for i in range(1, j):
+            table = mu_sq if data.draw(st.booleans()) else mu
+            table[(i, j)] = data.draw(NONZERO)
+    return ParamPoint(mu=mu, alpha=alpha, beta=beta, mu_sq=mu_sq)
+
+
+ALL_SMALL_CONFIGS = [c for n in range(1, 5) for c in enumerate_transversal(n)]
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_rec_solves_at_any_point(data):
+    # classify accepts a matrix by X-equivalence to rec of its germ; that is
+    # sound only because rec solves the braid relation at every valid point,
+    # not just at generic ones.
+    for config in ALL_SMALL_CONFIGS:
+        w = Permutation(tuple(data.draw(st.permutations(range(1, config.n + 1)))))
+        moved = configuration_perm(config, w)
+        germ = Germ(moved, draw_point(data, moved))
+        assert ybe_residual_direct(rec(germ)).zero, germ

@@ -21,6 +21,12 @@ def test_parse_rejects(bad):
         parse_scalar(bad)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_parse_rejects_booleans(flag):
+    with pytest.raises(MalformedInputError):
+        parse_scalar(flag)
+
+
 @given(st.fractions(min_value=-10**6, max_value=10**6))
 def test_round_trip(x):
     assert parse_scalar(format_scalar(x)) == x
