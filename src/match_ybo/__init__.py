@@ -61,16 +61,12 @@ from .matchcat import (
     block,
     compose,
     edge_pairs,
-    flip_op,
-    from_sparse,
     identity_op,
-    inverse,
     invertible,
     kron,
     matrix,
     matrix_from_json,
     matrix_to_json,
-    perm_op,
     restrict,
     to_sparse,
     x_equivalent,

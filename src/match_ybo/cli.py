@@ -82,6 +82,8 @@ def cmd_enumerate(args):
 
 def _load_germ(path, seed):
     data = _load(path)
+    if not isinstance(data, dict):
+        raise MalformedInputError(f"bad germ JSON: expected an object, got {type(data).__name__}")
     if "alpha" in data:
         return germ_from_json(data)
     config = configuration_from_json(data)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .errors import MalformedInputError, OrbitTooLargeError
+from .scalars import parse_int
 
 Word = tuple  # of ints in {1,2,3}
 
@@ -445,13 +446,13 @@ def configuration_from_json(data) -> Configuration:
         nations = tuple(
             Nation(
                 tuple(
-                    County(tuple(int(v) for v in c["vertices"]), str(c["part"]))
+                    County(tuple(parse_int(v) for v in c["vertices"]), str(c["part"]))
                     for c in nat["counties"]
                 )
             )
             for nat in data["nations"]
         )
-        return Configuration(int(data["n"]), nations)
+        return Configuration(parse_int(data["n"]), nations)
     except MalformedInputError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

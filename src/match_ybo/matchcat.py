@@ -6,8 +6,9 @@ edge i<j acting on the span of (ij),(ji):
 
     A(i,j) = [[a, b], [c, d]]   with entries (ij,ij), (ij,ji), (ji,ij), (ji,ji).
 
-All scalars are Fractions. Listing order for edges is 12, 13, 23, 14, 24, 34,
-... (new largest letter last).
+Scalars are Fractions. The sparse operations below work on any exact numbers;
+the verify routes run them on ints (see ybe). Listing order for edges is 12,
+13, 23, 14, 24, 34, ... (new largest letter last).
 
 For composition at other levels, operators are kept sparse, keyed by
 (row word, column word) pairs; charge conservation means every column word is
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import MalformedInputError, SingularMatrixError
-from .scalars import format_scalar, parse_scalar
+from .errors import MalformedInputError
+from .scalars import format_scalar, parse_int, parse_scalar
 
 
 class EdgeBlock(NamedTuple):
@@ -158,22 +159,6 @@ def invertible(m) -> bool:
     )
 
 
-def inverse(m) -> MatchMatrix2:
-    """Blockwise inverse; raises SingularMatrixError naming the bad part."""
-    vs = []
-    for i, v in enumerate(m.vertices, start=1):
-        if v == 0:
-            raise SingularMatrixError(f"vertex {i}")
-        vs.append(1 / v)
-    es = {}
-    for pair, blk in m.edges.items():
-        det = blk.a * blk.d - blk.b * blk.c
-        if det == 0:
-            raise SingularMatrixError(f"block {pair}")
-        es[pair] = EdgeBlock(blk.d / det, -blk.b / det, -blk.c / det, blk.a / det)
-    return MatchMatrix2(m.n, tuple(vs), es)
-
-
 @dataclass(frozen=True)
 class SparseOp:
     """Sparse operator at a fixed level: entries keyed by (row word, col word)."""
@@ -198,14 +183,9 @@ class SparseOp:
         )
 
 
-def sparse(n, level, entries) -> SparseOp:
-    cleaned = {k: Fraction(v) for k, v in entries.items() if v != 0}
-    return SparseOp(n, level, cleaned)
-
-
 def identity_op(n, level=1) -> SparseOp:
     words = itertools.product(range(1, n + 1), repeat=level)
-    return SparseOp(n, level, {(w, w): Fraction(1) for w in words})
+    return SparseOp(n, level, {(w, w): 1 for w in words})
 
 
 def kron(s, t) -> SparseOp:
@@ -232,7 +212,7 @@ def compose(s, t) -> SparseOp:
     for (r, mid), v1 in s.entries.items():
         for c, v2 in by_row.get(mid, ()):
             key = (r, c)
-            entries[key] = entries.get(key, Fraction(0)) + v1 * v2
+            entries[key] = entries.get(key, 0) + v1 * v2
     return SparseOp(s.n, s.level, {k: v for k, v in entries.items() if v != 0})
 
 
@@ -241,13 +221,8 @@ def sparse_sub(s, t) -> SparseOp:
         raise MalformedInputError("shape mismatch")
     entries = dict(s.entries)
     for key, v in t.entries.items():
-        entries[key] = entries.get(key, Fraction(0)) - v
+        entries[key] = entries.get(key, 0) - v
     return SparseOp(s.n, s.level, {k: v for k, v in entries.items() if v != 0})
-
-
-def charge_conserving(op) -> bool:
-    """True iff every column word is a rearrangement of its row word."""
-    return all(sorted(r) == sorted(c) for (r, c), v in op.entries.items() if v != 0)
 
 
 def to_sparse(m) -> SparseOp:
@@ -266,50 +241,6 @@ def to_sparse(m) -> SparseOp:
             if v != 0:
                 entries[key] = v
     return SparseOp(m.n, 2, entries)
-
-
-def from_sparse(op) -> MatchMatrix2:
-    """Inverse of to_sparse; rejects entries outside the alpha-form support."""
-    if op.level != 2:
-        raise MalformedInputError("need a level-2 operator")
-    n = op.n
-    vs = [Fraction(0)] * n
-    es = {pair: [Fraction(0)] * 4 for pair in edge_pairs(n)}
-    slot = {"a": 0, "b": 1, "c": 2, "d": 3}
-    for (row, col), v in op.entries.items():
-        if v == 0:
-            continue
-        (r1, r2), (c1, c2) = row, col
-        if r1 == r2 == c1 == c2:
-            vs[r1 - 1] = v
-        elif r1 != r2 and {r1, r2} == {c1, c2}:
-            i, j = min(r1, r2), max(r1, r2)
-            if (r1, r2) == (i, j):
-                name = "a" if (c1, c2) == (i, j) else "b"
-            else:
-                name = "c" if (c1, c2) == (i, j) else "d"
-            es[(i, j)][slot[name]] = v
-        else:
-            raise MalformedInputError(f"entry off the charge-conserving support: {(row, col)}")
-    return MatchMatrix2(n, tuple(vs), {p: EdgeBlock(*vals) for p, vals in es.items()})
-
-
-def perm_op(perm, level) -> SparseOp:
-    """Sparse operator of a letter permutation at the given level."""
-    n = perm.n
-    entries = {}
-    for w in itertools.product(range(1, n + 1), repeat=level):
-        entries[(tuple(perm(i) for i in w), w)] = Fraction(1)
-    return SparseOp(n, level, entries)
-
-
-def flip_op(n) -> SparseOp:
-    """The level-2 tensor-factor swap e_i (x) e_j -> e_j (x) e_i."""
-    entries = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            entries[((j, i), (i, j))] = Fraction(1)
-    return SparseOp(n, 2, entries)
 
 
 def matrix_to_json(m):
@@ -332,11 +263,11 @@ def matrix_to_json(m):
 
 def matrix_from_json(data) -> MatchMatrix2:
     try:
-        n = int(data["n"])
+        n = parse_int(data["n"])
         vs = tuple(parse_scalar(v) for v in data["vertices"])
         es = {}
         for e in data["edges"]:
-            i, j = int(e["i"]), int(e["j"])
+            i, j = parse_int(e["i"]), parse_int(e["j"])
             if not 1 <= i < j <= n:
                 raise MalformedInputError(f"bad edge pair ({i},{j})")
             if (i, j) in es:

@@ -14,6 +14,16 @@ from fractions import Fraction
 from .errors import MalformedInputError
 
 _SCALAR_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_INT_RE = re.compile(r"^-?\d+$")
+
+
+def parse_int(value) -> int:
+    """Parse an integer field: an int or a decimal string, never a bool or float."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if not isinstance(value, str) or not _INT_RE.match(value):
+        raise MalformedInputError(f"bad integer {value!r}")
+    return int(value)
 
 
 def parse_scalar(text) -> Fraction:

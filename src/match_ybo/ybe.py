@@ -11,6 +11,11 @@ subsets    runs the direct check on every 3-letter restriction; a solution on
 All three agree on every matrix.  Keeping them separate is the point: each is
 implemented from its own definition, so agreement is a real check.
 
+The braid relation is cubic-homogeneous: lam*m has the verdict of m, and every
+residual is lam^3 times as large.  So each route first clears denominators
+(lam = lcm of all denominators of m), runs on Python ints, and divides only the
+witness values it keeps by lam^3.  Witnesses stay exact rationals.
+
 The eight relations live on the 15 entries of a 3-letter matrix, listed as
 
   (a1, a2, a3, a12, b12, c12, d12, a13, b13, c13, d13, a23, b23, c23, d23)
@@ -22,12 +27,14 @@ matrix whose entries are their own indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .diagrams import Permutation
 from .matchcat import (
+    EdgeBlock,
     MatchMatrix2,
     compose,
     identity_op,
@@ -84,6 +91,20 @@ PAIR_POLYS = (
     ((1, (2, 3, 5)),),
     ((1, (2, 5, 2)), (-1, (2, 5, 5))),
 )
+
+
+def _clear_denominators(m):
+    """(lam, lam*m), lam the lcm of m's denominators; lam*m has int entries."""
+    entries = list(m.vertices)
+    for blk in m.edges.values():
+        entries.extend(blk)
+    lam = math.lcm(*(x.denominator for x in entries))
+
+    def scale(x):
+        return x.numerator * (lam // x.denominator)
+
+    es = {pair: EdgeBlock(*map(scale, blk)) for pair, blk in m.edges.items()}
+    return lam, MatchMatrix2(m.n, tuple(map(scale, m.vertices)), es)
 
 
 def eval_poly(poly, v):
@@ -148,6 +169,7 @@ def constraint_residuals(m) -> ResidualReport:
     Witnesses are (letters, permutation images, relation index, value),
     sorted, at most MAX_WITNESSES kept.
     """
+    lam, m = _clear_denominators(m)
     witnesses = []
     if m.n == 2:
         v = entry_vector(m)
@@ -167,7 +189,11 @@ def constraint_residuals(m) -> ResidualReport:
                     if val != 0:
                         witnesses.append((letters, perm.images, k, val))
     witnesses.sort()
-    return ResidualReport(not witnesses, tuple(witnesses[:MAX_WITNESSES]), "constraints")
+    kept = tuple(
+        (letters, images, k, Fraction(val, lam**3))
+        for letters, images, k, val in witnesses[:MAX_WITNESSES]
+    )
+    return ResidualReport(not witnesses, kept, "constraints")
 
 
 def ybe_residual_direct(m) -> ResidualReport:
@@ -175,6 +201,7 @@ def ybe_residual_direct(m) -> ResidualReport:
 
     Witnesses are (row word, column word, value), sorted.
     """
+    lam, m = _clear_denominators(m)
     s = to_sparse(m)
     one = identity_op(m.n)
     f1 = kron(s, one)
@@ -182,7 +209,9 @@ def ybe_residual_direct(m) -> ResidualReport:
     lhs = compose(compose(f1, f2), f1)
     rhs = compose(compose(f2, f1), f2)
     diff = sparse_sub(lhs, rhs)
-    witnesses = tuple(diff.nonzero_items()[:MAX_WITNESSES])
+    witnesses = tuple(
+        (row, col, Fraction(val, lam**3)) for row, col, val in diff.nonzero_items()[:MAX_WITNESSES]
+    )
     return ResidualReport(diff.is_zero, witnesses, "direct")
 
 
@@ -195,6 +224,7 @@ def is_solution_by_subsets(m) -> ResidualReport:
     if m.n < 3:
         rep = ybe_residual_direct(m)
         return ResidualReport(rep.zero, rep.witnesses, "subsets")
+    lam, m = _clear_denominators(m)
     witnesses = []
     for letters in combinations(range(1, m.n + 1), 3):
         rep = ybe_residual_direct(restrict(m, letters))
@@ -205,7 +235,8 @@ def is_solution_by_subsets(m) -> ResidualReport:
                 val,
             ))
     witnesses.sort()
-    return ResidualReport(not witnesses, tuple(witnesses[:MAX_WITNESSES]), "subsets")
+    kept = tuple((row, col, Fraction(val, lam**3)) for row, col, val in witnesses[:MAX_WITNESSES])
+    return ResidualReport(not witnesses, kept, "subsets")
 
 
 def is_solution(m) -> bool:

@@ -1,0 +1,82 @@
+"""Sparse operators and inverses that only the tests use as references.
+
+They rebuild, from their definitions, things the library computes another
+way: permutation and flip actions as sparse conjugations, the blockwise
+inverse, and the alpha-form support of a level-2 operator.
+"""
+
+import itertools
+from fractions import Fraction
+
+from match_ybo.errors import MalformedInputError, SingularMatrixError
+from match_ybo.matchcat import EdgeBlock, MatchMatrix2, SparseOp, edge_pairs
+
+
+def sparse(n, level, entries) -> SparseOp:
+    cleaned = {k: Fraction(v) for k, v in entries.items() if v != 0}
+    return SparseOp(n, level, cleaned)
+
+
+def inverse(m) -> MatchMatrix2:
+    """Blockwise inverse; raises SingularMatrixError naming the bad part."""
+    vs = []
+    for i, v in enumerate(m.vertices, start=1):
+        if v == 0:
+            raise SingularMatrixError(f"vertex {i}")
+        vs.append(1 / v)
+    es = {}
+    for pair, blk in m.edges.items():
+        det = blk.a * blk.d - blk.b * blk.c
+        if det == 0:
+            raise SingularMatrixError(f"block {pair}")
+        es[pair] = EdgeBlock(blk.d / det, -blk.b / det, -blk.c / det, blk.a / det)
+    return MatchMatrix2(m.n, tuple(vs), es)
+
+
+def charge_conserving(op) -> bool:
+    """True iff every column word is a rearrangement of its row word."""
+    return all(sorted(r) == sorted(c) for (r, c), v in op.entries.items() if v != 0)
+
+
+def from_sparse(op) -> MatchMatrix2:
+    """Inverse of to_sparse; rejects entries outside the alpha-form support."""
+    if op.level != 2:
+        raise MalformedInputError("need a level-2 operator")
+    n = op.n
+    vs = [Fraction(0)] * n
+    es = {pair: [Fraction(0)] * 4 for pair in edge_pairs(n)}
+    slot = {"a": 0, "b": 1, "c": 2, "d": 3}
+    for (row, col), v in op.entries.items():
+        if v == 0:
+            continue
+        (r1, r2), (c1, c2) = row, col
+        if r1 == r2 == c1 == c2:
+            vs[r1 - 1] = v
+        elif r1 != r2 and {r1, r2} == {c1, c2}:
+            i, j = min(r1, r2), max(r1, r2)
+            if (r1, r2) == (i, j):
+                name = "a" if (c1, c2) == (i, j) else "b"
+            else:
+                name = "c" if (c1, c2) == (i, j) else "d"
+            es[(i, j)][slot[name]] = v
+        else:
+            raise MalformedInputError(f"entry off the charge-conserving support: {(row, col)}")
+    return MatchMatrix2(n, tuple(vs), {p: EdgeBlock(*vals) for p, vals in es.items()})
+
+
+def perm_op(perm, level) -> SparseOp:
+    """Sparse operator of a letter permutation at the given level."""
+    n = perm.n
+    entries = {}
+    for w in itertools.product(range(1, n + 1), repeat=level):
+        entries[(tuple(perm(i) for i in w), w)] = Fraction(1)
+    return SparseOp(n, level, entries)
+
+
+def flip_op(n) -> SparseOp:
+    """The level-2 tensor-factor swap e_i (x) e_j -> e_j (x) e_i."""
+    entries = {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            entries[((j, i), (i, j))] = Fraction(1)
+    return SparseOp(n, 2, entries)

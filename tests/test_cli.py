@@ -156,6 +156,39 @@ def test_boolean_scalar_exits_2(capsys, tmp_path):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("data", [5, None, "alpha", [1]])
+def test_build_germ_non_object_exits_2(capsys, tmp_path, data):
+    path = write(tmp_path, "germ.json", data)
+    rc, out = run(capsys, "build", "--germ", path)
+    assert rc == 2
+    assert "error" in json.loads(out)
+
+
+SWAP_EDGE = {"i": 1, "j": 2, "a": "0", "b": "1", "c": "1", "d": "0"}
+
+
+@pytest.mark.parametrize("data", [
+    {"n": True, "vertices": ["1"], "edges": []},
+    {"n": 2.5, "vertices": ["1", "1"], "edges": [SWAP_EDGE]},
+    {"n": 2, "vertices": ["1", "1"], "edges": [dict(SWAP_EDGE, i=True)]},
+    {"n": 2, "vertices": ["1", "1"], "edges": [dict(SWAP_EDGE, j=2.0)]},
+])
+def test_matrix_integer_fields_are_strict(capsys, tmp_path, data):
+    path = write(tmp_path, "matrix.json", data)
+    rc, out = run(capsys, "verify", "--matrix", path)
+    assert rc == 2
+    assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("n, vertex", [(True, 1), (1, True), (1.0, 1), (1, 1.5)])
+def test_configuration_integer_fields_are_strict(capsys, tmp_path, n, vertex):
+    county = {"vertices": [vertex], "part": "first"}
+    path = write(tmp_path, "config.json", {"n": n, "nations": [{"counties": [county]}]})
+    rc, out = run(capsys, "build", "--germ", path)
+    assert rc == 2
+    assert "error" in json.loads(out)
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_fibre_rejects_jobs_below_one(capsys, jobs):
     rc, out = run(capsys, "fibre", "--prime", "5", "--jobs", jobs)

@@ -11,26 +11,22 @@ from match_ybo.matchcat import (
     act_flip,
     act_perm,
     block,
-    charge_conserving,
     compose,
     edge_pairs,
-    flip_op,
-    from_sparse,
     identity_op,
-    inverse,
     invertible,
     kron,
     matrix,
     matrix_from_json,
     matrix_to_json,
-    perm_op,
     restrict,
-    sparse,
     sparse_sub,
     to_sparse,
     x_equivalent,
     x_normalize,
 )
+
+from matchcat_oracles import charge_conserving, flip_op, from_sparse, inverse, perm_op, sparse
 
 
 def sample():

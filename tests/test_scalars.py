@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from match_ybo.errors import MalformedInputError
-from match_ybo.scalars import format_scalar, parse_scalar, rational_sqrt
+from match_ybo.scalars import format_scalar, parse_int, parse_scalar, rational_sqrt
 
 
 def test_parse_basics():
@@ -25,6 +25,17 @@ def test_parse_rejects(bad):
 def test_parse_rejects_booleans(flag):
     with pytest.raises(MalformedInputError):
         parse_scalar(flag)
+
+
+def test_parse_int():
+    assert parse_int(3) == 3
+    assert parse_int("-12") == -12
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, 2.5, "2.0", "1/1", "", " 3", None, [1]])
+def test_parse_int_rejects(bad):
+    with pytest.raises(MalformedInputError):
+        parse_int(bad)
 
 
 @given(st.fractions(min_value=-10**6, max_value=10**6))
