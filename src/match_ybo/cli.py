@@ -230,7 +230,8 @@ def build_parser():
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("fibre", help="finite-field fibre census")
-    p.add_argument("--type", default=None, help='e.g. "0,+,+" (omit for the full report)')
+    p.add_argument("--type", default=None, help='e.g. "0,+,+" (omit for the full report); '
+                   'a type starting with "-" needs the form --type=-,+,+')
     p.add_argument("--prime", type=int, default=11)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_fibre)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .errors import MalformedInputError, OrbitTooLargeError
-from .scalars import parse_int
+from .scalars import parse_int, parse_list
 
 Word = tuple  # of ints in {1,2,3}
 
@@ -446,11 +446,14 @@ def configuration_from_json(data) -> Configuration:
         nations = tuple(
             Nation(
                 tuple(
-                    County(tuple(parse_int(v) for v in c["vertices"]), str(c["part"]))
-                    for c in nat["counties"]
+                    County(
+                        tuple(parse_int(v) for v in parse_list(c["vertices"], "vertices")),
+                        str(c["part"]),
+                    )
+                    for c in parse_list(nat["counties"], "counties")
                 )
             )
-            for nat in data["nations"]
+            for nat in parse_list(data["nations"], "nations")
         )
         return Configuration(parse_int(data["n"]), nations)
     except MalformedInputError:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import MalformedInputError
-from .scalars import format_scalar, parse_int, parse_scalar
+from .scalars import format_scalar, parse_int, parse_list, parse_scalar
 
 
 class EdgeBlock(NamedTuple):
@@ -264,9 +264,9 @@ def matrix_to_json(m):
 def matrix_from_json(data) -> MatchMatrix2:
     try:
         n = parse_int(data["n"])
-        vs = tuple(parse_scalar(v) for v in data["vertices"])
+        vs = tuple(parse_scalar(v) for v in parse_list(data["vertices"], "vertices"))
         es = {}
-        for e in data["edges"]:
+        for e in parse_list(data["edges"], "edges"):
             i, j = parse_int(e["i"]), parse_int(e["j"])
             if not 1 <= i < j <= n:
                 raise MalformedInputError(f"bad edge pair ({i},{j})")

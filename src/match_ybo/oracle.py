@@ -14,6 +14,11 @@ X-orbit per gauged block.  Zero-pattern blocks keep b = c = 0 exactly.
 
 Vectors are the 15-entry layout (a1, a2, a3, then blocks (a,b,c,d) for the
 edges 12, 13, 23).
+
+The constraint images split in two.  The pair relations live on one block and
+its two vertex scalars; `_block_candidates` enforces them on each block before
+any vector is built.  `check_vector` then evaluates only the 18 images of the
+three relations that couple all three blocks.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from itertools import product
 
 from .classify import EdgeLabelH, EdgeLabelI, _triple_key, coarsen, g3_orbits
 from .errors import MalformedInputError
-from .ybe import PAIR_POLYS, PAIR_REINDEX, TRIPLE_POLYS, TRIPLE_REINDEX, eval_poly
+from .ybe import PAIR_POLYS, PAIR_REINDEX, TRIPLE_POLYS, TRIPLE_REINDEX
 
 _TOKENS = {label.value for label in (*EdgeLabelH, *EdgeLabelI)}
 _EDGE_OFFSETS = (3, 7, 11)
@@ -53,31 +58,31 @@ def _is_prime(p):
     return True
 
 
-def _compile_checker():
-    lines = ["def check_vector(v, p):"]
-    for src in TRIPLE_REINDEX:
-        for poly in TRIPLE_POLYS:
-            terms = []
-            for coeff, mono in poly:
-                prod = "*".join(f"v[{src[i]}]" for i in mono)
-                terms.append(("+" if coeff > 0 else "-") + prod)
-            lines.append(f"    if ({''.join(terms)}) % p: return False")
+def _compile(names, reindex, polys):
+    """`check(v, p)`: do all images of `polys` under `reindex` vanish mod p?
+
+    Unpacks `v` into `names` once; every coefficient must be +1 or -1.
+    """
+    lines = ["def check(v, p):", f"    {', '.join(names)} = v"]
+    for src in reindex:
+        for poly in polys:
+            terms = "".join(
+                ("+" if coeff > 0 else "-") + "*".join(names[src[i]] for i in mono)
+                for coeff, mono in poly
+            )
+            lines.append(f"    if ({terms}) % p: return False")
     lines.append("    return True")
     ns = {}
     exec("\n".join(lines), ns)
-    return ns["check_vector"]
+    return ns["check"]
 
 
-check_vector = _compile_checker()
-
-
-def _pair_ok(vec6, p):
-    for src in PAIR_REINDEX:
-        w = tuple(vec6[s] for s in src)
-        for poly in PAIR_POLYS:
-            if eval_poly(poly, w) % p:
-                return False
-    return True
+# The 30 images of the first five relations (24 distinct) are exactly the
+# images of the pair relations placed on the three blocks, which every
+# candidate block already satisfies; only the coupling relations remain.
+_TRIPLE_NAMES = "a1 a2 a3 a12 b12 c12 d12 a13 b13 c13 d13 a23 b23 c23 d23".split()
+check_vector = _compile(_TRIPLE_NAMES, TRIPLE_REINDEX, TRIPLE_POLYS[5:])
+_pair_ok = _compile("a1 a2 a b c d".split(), PAIR_REINDEX, PAIR_POLYS)
 
 
 @lru_cache(maxsize=None)
@@ -164,13 +169,8 @@ def x_rescale(vec, edge, x, p):
     return tuple(out)
 
 
-# Enum member lookups are slow enough to show in this per-hit check.
-_ZERO, _SLASH = EdgeLabelH.ZERO, EdgeLabelH.SLASH
-_SIGNS = (EdgeLabelH.PLUS, EdgeLabelH.MINUS)
-
-
-def hit_in_family(ftype, vec, prime):
-    """Membership of one hit in the fibre's parametrized family.
+def _family_rule(ftype):
+    """`rule(vec, p)`: is a hit of the fibre in its parametrized family?
 
     None when the pattern has no nonempty family.  The families: all-slash
     and all-zero fibres are cut out by their pattern alone; two slashes force
@@ -178,43 +178,50 @@ def hit_in_family(ftype, vec, prime):
     share trace and product.
     """
     coarse = tuple(coarsen(t) for t in ftype)
-    n_slash = coarse.count(_SLASH)
-    n_zero = coarse.count(_ZERO)
+    n_slash = coarse.count(EdgeLabelH.SLASH)
+    n_zero = coarse.count(EdgeLabelH.ZERO)
     n_sign = 3 - n_slash - n_zero
 
-    def blocks(kinds):
-        return [vec[off:off + 4] for c, off in zip(coarse, _EDGE_OFFSETS) if c in kinds]
+    def offsets(kinds):
+        return [off for c, off in zip(coarse, _EDGE_OFFSETS) if c in kinds]
 
     if n_slash == 3 or n_zero == 3:
-        return True
+        return lambda vec, p: True
     if n_slash == 2 and n_sign <= 1:
-        (a_, b_, c_, d_), (a2_, b2_, c2_, d2_) = blocks((_SLASH,))
-        return b_ * c_ % prime == b2_ * c2_ % prime
-    if n_sign == 3 or (n_zero == 1 and n_sign == 2):
-        sign_blocks = blocks(_SIGNS)
-        traces = {(a_ + d_) % prime for a_, b_, c_, d_ in sign_blocks}
-        prods = {b_ * c_ % prime for a_, b_, c_, d_ in sign_blocks}
-        return len(traces) == 1 and len(prods) == 1
-    return None
+        traced, multiplied = (), offsets((EdgeLabelH.SLASH,))
+    elif n_sign == 3 or (n_zero == 1 and n_sign == 2):
+        traced = multiplied = offsets((EdgeLabelH.PLUS, EdgeLabelH.MINUS))
+    else:
+        return None
+
+    def rule(vec, p):
+        return (len({(vec[o] + vec[o + 3]) % p for o in traced}) <= 1
+                and len({vec[o + 1] * vec[o + 2] % p for o in multiplied}) <= 1)
+
+    return rule
+
+
+def hit_in_family(ftype, vec, prime):
+    """Membership of one hit in the fibre's family; None when it has none."""
+    rule = _family_rule(ftype)
+    return None if rule is None else rule(vec, prime)
 
 
 def fibre_summary(ftype, prime):
     """Count a fibre and aggregate family membership in one pass."""
     ftype = _check_type(ftype if not isinstance(ftype, str) else parse_fibre_type(ftype))
+    rule = _family_rule(ftype)
     count = 0
-    family = None
+    family = None if rule is None else True
     for vec in fibre_scan(ftype, prime):
-        verdict = hit_in_family(ftype, vec, prime)
-        if count == 0:
-            family = verdict
-        elif verdict is not None:
-            family = family and verdict
+        if family:
+            family = rule(vec, prime)
         count += 1
     return {
         "type": ",".join(ftype),
         "prime": prime,
         "solutions": count,
-        "matches_family": family,
+        "matches_family": family if count else None,
     }
 
 

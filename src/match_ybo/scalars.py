@@ -26,6 +26,13 @@ def parse_int(value) -> int:
     return int(value)
 
 
+def parse_list(value, name) -> list:
+    """A JSON array field; a string or object would be read item by item."""
+    if not isinstance(value, list):
+        raise MalformedInputError(f"{name} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 def parse_scalar(text) -> Fraction:
     """Parse "p" or "p/q" (or an int, but not a bool) into a Fraction."""
     if isinstance(text, int) and not isinstance(text, bool):

@@ -189,6 +189,31 @@ def test_configuration_integer_fields_are_strict(capsys, tmp_path, n, vertex):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("data", [
+    {"n": 2, "vertices": "11", "edges": [SWAP_EDGE]},
+    {"n": 2, "vertices": {"1": "1", "2": "1"}, "edges": [SWAP_EDGE]},
+    {"n": 2, "vertices": ["1", "1"], "edges": {}},
+])
+def test_matrix_list_fields_must_be_arrays(capsys, tmp_path, data):
+    # a string or object would be read one character or key at a time
+    path = write(tmp_path, "matrix.json", data)
+    rc, out = run(capsys, "verify", "--matrix", path)
+    assert rc == 2
+    assert "JSON array" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("nations", [
+    [{"counties": [{"vertices": "12", "part": "first"}]}],
+    [{"counties": {}}],
+    {},
+])
+def test_configuration_list_fields_must_be_arrays(capsys, tmp_path, nations):
+    path = write(tmp_path, "config.json", {"n": 2, "nations": nations})
+    rc, out = run(capsys, "build", "--germ", path)
+    assert rc == 2
+    assert "JSON array" in json.loads(out)["error"]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_fibre_rejects_jobs_below_one(capsys, jobs):
     rc, out = run(capsys, "fibre", "--prime", "5", "--jobs", jobs)
@@ -235,6 +260,13 @@ def test_fibre_single(capsys):
     data = json.loads(out)
     assert data["solutions"] == 4
     assert data["matches_family"] is True
+
+
+def test_fibre_type_starting_with_minus(capsys):
+    # argparse takes "-,+,+" after a space for an option; "=" attaches it
+    rc, out = run(capsys, "fibre", "--type=-,+,+", "--prime", "5")
+    assert rc == 0
+    assert json.loads(out) == {"type": "-,+,+", "prime": 5, "solutions": 36, "matches_family": True}
 
 
 def test_fibre_report(capsys):

@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 
 from match_ybo.errors import MalformedInputError
@@ -12,6 +15,19 @@ from match_ybo.oracle import (
     parse_fibre_type,
     x_rescale,
 )
+from match_ybo.ybe import PAIR_POLYS, PAIR_REINDEX, TRIPLE_POLYS, TRIPLE_REINDEX, eval_poly
+
+# Entry indices (a1 or a2, then a, b, c, d) of each block of the 15-entry vector.
+BLOCKS = ((0, 1, 3, 4, 5, 6), (0, 2, 7, 8, 9, 10), (1, 2, 11, 12, 13, 14))
+
+# The frozen p = 7 census: (solutions, matches_family) per orbit representative.
+CENSUS_7 = {
+    "0,0,0": (6, True), "0,0,/": (0, None), "0,0,+": (0, None),
+    "0,/,/": (216, True), "0,/,+": (0, None), "0,+,+": (54, True),
+    "0,+,-": (0, None), "/,/,/": (46656, True), "/,/,+": (1944, True),
+    "/,+,+": (0, None), "/,+,-": (0, None), "+,+,+": (102, True),
+    "+,-,+": (0, None),
+}
 
 
 def test_parse_fibre_type():
@@ -116,3 +132,74 @@ def test_refined_one_zero_two_plus_fibres():
     assert enumerate_fibre(("0", "f+", "a+"), 7) == []
     assert len(enumerate_fibre(("0", "a+", "a+"), 7)) == 24
     assert len(enumerate_fibre(("0", "f+", "f+"), 7)) == 30
+
+
+def normalised(poly, places):
+    """The polynomial with variable k renamed places[k], as monomial -> coefficient."""
+    out = Counter()
+    for coeff, mono in poly:
+        out[tuple(sorted(places[i] for i in mono))] += coeff
+    return frozenset((mono, c) for mono, c in out.items() if c)
+
+
+def test_dropped_relations_are_the_pair_relations_on_each_block():
+    dropped = {normalised(poly, src) for src in TRIPLE_REINDEX for poly in TRIPLE_POLYS[:5]}
+    pair = {
+        normalised(poly, [blk[s] for s in src])
+        for blk in BLOCKS
+        for src in PAIR_REINDEX
+        for poly in PAIR_POLYS
+    }
+    assert dropped == pair
+    assert len(pair) == 24
+
+
+def gauged_pool(label, p):
+    """Every block of a coarse pattern, gauged to c = 1 unless it is zero."""
+    nz = range(1, p)
+    return {
+        "0": [(a, 0, 0, d) for a in nz for d in nz],
+        "/": [(0, b, 1, 0) for b in nz],
+        "+": [(a, b, 1, 0) for a in nz for b in nz],
+        "-": [(0, b, 1, d) for b in nz for d in nz],
+    }[label]
+
+
+def vanishes(polys, reindex, v, p):
+    return all(eval_poly(poly, [v[s] for s in src]) % p == 0 for src in reindex for poly in polys)
+
+
+def reference_hits(ftype, p, prefilter):
+    """Gauged vectors of a coarse pattern passing all 48 triple images."""
+    hits = []
+    for scalars in product(range(1, p), repeat=3):
+        pools = []
+        for label, blk in zip(ftype, BLOCKS):
+            pool = gauged_pool(label, p)
+            if prefilter:
+                s, t = scalars[blk[0]], scalars[blk[1]]
+                pool = [b for b in pool if vanishes(PAIR_POLYS, PAIR_REINDEX, (s, t) + b, p)]
+            pools.append(pool)
+        for b12, b13, b23 in product(*pools):
+            vec = scalars + b12 + b13 + b23
+            if vanishes(TRIPLE_POLYS, TRIPLE_REINDEX, vec, p):
+                hits.append(vec)
+    return sorted(hits)
+
+
+def test_scan_matches_brute_force_at_3():
+    for ftype in product("0/+-", repeat=3):
+        assert sorted(fibre_scan(ftype, 3)) == reference_hits(ftype, 3, prefilter=False), ftype
+
+
+def test_scan_matches_reference_at_5():
+    for ftype in default_types():
+        assert sorted(fibre_scan(ftype, 5)) == reference_hits(ftype, 5, prefilter=True), ftype
+
+
+def test_census_table_at_7():
+    report = fibre_report(7)
+    assert {r["type"]: (r["solutions"], r["matches_family"]) for r in report} == CENSUS_7
+    assert [r["type"] for r in report] == list(CENSUS_7)
+    summary = fibre_summary("/,/,+", 11)
+    assert (summary["solutions"], summary["matches_family"]) == (17000, True)
