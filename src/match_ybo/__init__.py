@@ -9,7 +9,6 @@ independent ways, and recovers the data back from raw matrices.
 from .classify import (
     EdgeLabelH,
     EdgeLabelI,
-    admissible,
     classify,
     coarsen,
     edge_labels,

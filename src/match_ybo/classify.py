@@ -6,8 +6,9 @@ Every invertible charge-conserving solution determines edge labels: each
 refine by comparing the two vertex scalars: f (equal) or a (different).
 Slash edges cut the letters into nations, zero edges cut a nation into
 counties, signs order the counties, and f/a splits them into two parts.
-`classify` assembles all of this, together with the numerical parameters,
-into a germ; it is a section of the construction map up to X-equivalence.
+`classify` reads all of this, together with the numerical parameters, into a
+germ without checking it, and accepts the matrix only when that germ rebuilds
+it up to X-equivalence; it is a section of the construction map.
 
 The coarse labels {0, /, +, -} on a triangle carry an action of flipping the
 operator and permuting the three letters; the action is not hand-coded but
@@ -17,7 +18,7 @@ read off representative blocks.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import combinations, product
+from itertools import product
 
 from .diagrams import (
     Configuration,
@@ -25,10 +26,17 @@ from .diagrams import (
     Nation,
     Permutation,
     configuration_perm,
-    orbit,
 )
 from .errors import InadmissibleEdgeError, MalformedInputError, NotASolutionError
-from .matchcat import act_flip, act_perm, block, edge_pairs, invertible, matrix, x_equivalent
+from .matchcat import (
+    EdgeBlock,
+    MatchMatrix2,
+    act_flip,
+    act_perm,
+    edge_pairs,
+    invertible,
+    x_equivalent,
+)
 from .recipe import Germ, ParamPoint, rec
 from .scalars import rational_sqrt
 from .ybe import constraint_residuals
@@ -36,14 +44,12 @@ from .ybe import constraint_residuals
 __all__ = [
     "EdgeLabelH",
     "EdgeLabelI",
-    "admissible",
     "classify",
     "coarsen",
     "edge_labels",
     "g3_orbits",
     "label_edge",
     "no_minus_rep",
-    "orbit",
     "orbit_of_triple",
     "recover_colours",
     "recover_counties",
@@ -113,17 +119,6 @@ def edge_labels(m):
     return {pair: label_edge(m, *pair) for pair in edge_pairs(m.n)}
 
 
-def admissible(m) -> bool:
-    """Invertible, every edge labellable, and all constraints vanish."""
-    if not invertible(m):
-        return False
-    try:
-        edge_labels(m)
-    except InadmissibleEdgeError:
-        return False
-    return constraint_residuals(m).zero
-
-
 # Triangles of coarse labels, listed (h12, h13, h23).
 
 _H_BLOCK = {
@@ -137,11 +132,8 @@ _TRIANGLE_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 
 def _triangle_matrix(triple):
-    es = {
-        pair: block(*_H_BLOCK[EdgeLabelH(t)])
-        for pair, t in zip(_TRIANGLE_PAIRS, triple)
-    }
-    return matrix([1, 1, 1], es)
+    es = {pair: EdgeBlock(*_H_BLOCK[EdgeLabelH(t)]) for pair, t in zip(_TRIANGLE_PAIRS, triple)}
+    return MatchMatrix2(3, (1, 1, 1), es)
 
 
 def _triangle_labels(m):
@@ -242,104 +234,53 @@ def _components(vertices, adjacent):
     return sorted(comps)
 
 
-def recover_nations(m, labels=None):
-    """Partition the letters by non-slash connectivity; validates that slash
-    edges are exactly the cross-nation ones."""
-    labels = edge_labels(m) if labels is None else labels
-    comps = _components(
+def recover_nations(m, labels):
+    """The letters cut into nations: components of the non-slash edges."""
+    return tuple(_components(
         range(1, m.n + 1),
         lambda i, j: labels[(i, j)] is not EdgeLabelI.SLASH,
-    )
-    for comp in comps:
-        for i, j in combinations(comp, 2):
-            if labels[(i, j)] is EdgeLabelI.SLASH:
-                raise NotASolutionError(f"slash edge ({i},{j}) inside a nation")
-    return tuple(comps)
+    ))
 
 
-def recover_counties(m, nation_vertices, labels=None):
-    """Split one nation's letters by zero-edge connectivity."""
-    labels = edge_labels(m) if labels is None else labels
-    comps = _components(
+def recover_counties(nation_vertices, labels):
+    """One nation's letters cut into counties: components of the zero edges."""
+    return tuple(_components(
         nation_vertices,
         lambda i, j: labels[(i, j)] is EdgeLabelI.ZERO,
+    ))
+
+
+def recover_order(counties, labels):
+    """Counties sorted by how many others each comes before.  County a comes
+    before county b when the edge between their first letters is + read from
+    a's letter."""
+
+    def before(a, b):
+        u, v = a[0], b[0]
+        return (coarsen(labels[(min(u, v), max(u, v))]) is EdgeLabelH.PLUS) == (u < v)
+
+    return tuple(sorted(counties, key=lambda a: -sum(before(a, b) for b in counties if b != a)))
+
+
+def recover_colours(m, ordered_counties):
+    """Part tags: a county is tagged like the first one when its scalar is the
+    same."""
+    first = m.vertices[ordered_counties[0][0] - 1]
+    return tuple(
+        "first" if m.vertices[c[0] - 1] == first else "second" for c in ordered_counties
     )
-    for comp in comps:
-        for i, j in combinations(comp, 2):
-            if labels[(i, j)] is not EdgeLabelI.ZERO:
-                raise NotASolutionError(f"non-zero edge ({i},{j}) inside a county")
-    return tuple(comps)
-
-
-def recover_order(m, counties, labels=None):
-    """Order counties by the signs; every cross-county edge must agree."""
-    if len(counties) <= 1:
-        return tuple(counties)
-    labels = edge_labels(m) if labels is None else labels
-    before = {}
-    for a, b in combinations(range(len(counties)), 2):
-        verdicts = set()
-        for u in counties[a]:
-            for v in counties[b]:
-                i, j = (u, v) if u < v else (v, u)
-                h = coarsen(labels[(i, j)])
-                if h not in (EdgeLabelH.PLUS, EdgeLabelH.MINUS):
-                    raise NotASolutionError(f"unsigned edge ({i},{j}) between counties")
-                verdicts.add((h is EdgeLabelH.PLUS) == (i in counties[a]))
-        if len(verdicts) != 1:
-            raise NotASolutionError("inconsistent county order")
-        before[(a, b)] = verdicts.pop()
-    wins = [0] * len(counties)
-    for (a, b), a_first in before.items():
-        wins[a if a_first else b] += 1
-    if sorted(wins) != list(range(len(counties))):
-        raise NotASolutionError("county order is not total")
-    order = sorted(range(len(counties)), key=lambda k: -wins[k])
-    return tuple(counties[k] for k in order)
-
-
-def recover_colours(m, ordered_counties, labels=None):
-    """Tag ordered counties with parts; the first county is tagged first."""
-    k = len(ordered_counties)
-    if k == 0:
-        return ()
-    labels = edge_labels(m) if labels is None else labels
-
-    def same_part(a, b):
-        verdicts = set()
-        for u in ordered_counties[a]:
-            for v in ordered_counties[b]:
-                i, j = (u, v) if u < v else (v, u)
-                lab = labels[(i, j)]
-                if lab in (EdgeLabelI.FPLUS, EdgeLabelI.FMINUS):
-                    verdicts.add(True)
-                elif lab in (EdgeLabelI.APLUS, EdgeLabelI.AMINUS):
-                    verdicts.add(False)
-                else:
-                    raise NotASolutionError(f"unsigned edge ({i},{j}) between counties")
-        if len(verdicts) != 1:
-            raise NotASolutionError("inconsistent part comparison")
-        return verdicts.pop()
-
-    tags = ["first"] + [None] * (k - 1)
-    for q in range(1, k):
-        tags[q] = "first" if same_part(0, q) else "second"
-    for p, q in combinations(range(k), 2):
-        if (tags[p] == tags[q]) != same_part(p, q):
-            raise NotASolutionError("county parts are not two-colourable")
-    return tuple(tags)
 
 
 def classify(m) -> Germ:
     """Full inverse: matching data and parameters of a solution.
 
-    The germ is read off the edge labels and vertex scalars, then certified
-    by rebuilding it: m is accepted only when it is X-equivalent to rec of
-    that germ.  rec builds a solution from every germ and X-equivalence
-    preserves the braid relation, so an accepted matrix is a solution, and by
-    the classification every invertible solution is accepted.  Only a
-    rejected matrix is run through the constraint system, so that the error
-    names a failing relation when there is one.
+    The germ is read off the edge labels and vertex scalars without checking
+    them, then certified by rebuilding it: m is accepted only when it is
+    X-equivalent to rec of that germ.  rec builds a solution from every germ
+    and X-equivalence preserves the braid relation, so an accepted matrix is
+    a solution, and by the classification every invertible solution is
+    accepted.  Only a rejected matrix is run through the constraint system,
+    so that the error names a failing relation when there is one.
 
     Raises NotASolutionError when the matrix is not an invertible solution.
     """
@@ -351,30 +292,24 @@ def classify(m) -> Germ:
         raise NotASolutionError(f"not labellable: {exc}") from exc
     try:
         germ = _read_germ(m, labels)
-    except (NotASolutionError, MalformedInputError) as exc:
-        raise _rejection(m, str(exc)) from exc
-    if not x_equivalent(rec(germ), m):
-        raise _rejection(m, "matrix is not X-equivalent to the operator of its germ")
+    except MalformedInputError:
+        germ = None
+    if germ is None or not x_equivalent(rec(germ), m):
+        rep = constraint_residuals(m)
+        if not rep.zero:
+            raise NotASolutionError(f"constraints fail, first witness {rep.witnesses[0]}")
+        raise NotASolutionError("matrix is not X-equivalent to the operator of its germ")
     return germ
 
 
-def _rejection(m, reason):
-    """The error for a rejected m: its first constraint witness, if any."""
-    rep = constraint_residuals(m)
-    if not rep.zero:
-        reason = f"constraints fail, first witness {rep.witnesses[0]}"
-    return NotASolutionError(reason)
-
-
 def _read_germ(m, labels):
-    """The germ whose operator m must be; parameters are read, not checked."""
+    """The germ whose operator m must be; nothing read is checked."""
     nations = []
     alpha = {}
     beta = {}
     for idx, nat_v in enumerate(recover_nations(m, labels), start=1):
-        counties = recover_counties(m, nat_v, labels)
-        ordered = recover_order(m, counties, labels)
-        tags = recover_colours(m, ordered, labels)
+        ordered = recover_order(recover_counties(nat_v, labels), labels)
+        tags = recover_colours(m, ordered)
         nations.append(Nation(tuple(County(c, t) for c, t in zip(ordered, tags))))
         alpha[idx] = m.vertices[ordered[0][0] - 1]
         if "second" in tags:

@@ -65,7 +65,13 @@ def _config_text(config):
     return " | ".join(bits)
 
 
+# T_N grows about 7x per step: N = 10 takes a minute and prints 21 MB.
+ENUMERATE_MAX_N = 10
+
+
 def cmd_enumerate(args):
+    if args.n > ENUMERATE_MAX_N:
+        raise MalformedInputError(f"--n must be at most {ENUMERATE_MAX_N}, got {args.n}")
     configs = list(enumerate_transversal(args.n))
     if args.format == "text":
         for i, c in enumerate(configs, start=1):
@@ -200,7 +206,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list the transversal T_N")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"number of letters, 0..{ENUMERATE_MAX_N}")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_enumerate)
 

@@ -33,7 +33,7 @@ from .diagrams import (
 )
 from .errors import MalformedInputError
 from .matchcat import EdgeBlock, MatchMatrix2, edge_pairs
-from .scalars import format_scalar, parse_scalar
+from .scalars import format_scalar, parse_int, parse_scalar
 
 
 @dataclass(frozen=True)
@@ -175,24 +175,33 @@ def germ_to_json(germ):
 
 
 def _parse_pair_key(key):
-    try:
-        i, j = (int(t) for t in key.split(","))
-    except ValueError as exc:
-        raise MalformedInputError(f"bad nation pair key {key!r}") from exc
+    parts = key.split(",")
+    if len(parts) != 2:
+        raise MalformedInputError(f"bad nation pair key {key!r}")
+    i, j = (parse_int(t) for t in parts)
     if not i < j:
         raise MalformedInputError(f"nation pair key must be increasing: {key!r}")
     return (i, j)
 
 
+def _parse_table(table, parse_key):
+    """A parameter table; two keys that parse to the same one are an error."""
+    out = {}
+    for k, v in table.items():
+        key = parse_key(k)
+        if key in out:
+            raise MalformedInputError(f"repeated key {k!r}")
+        out[key] = parse_scalar(v)
+    return out
+
+
 def germ_from_json(data) -> Germ:
     config = configuration_from_json(data)
     try:
-        mu = {_parse_pair_key(k): parse_scalar(v) for k, v in data.get("mu", {}).items()}
-        mu_sq = {_parse_pair_key(k): parse_scalar(v) for k, v in data.get("mu_sq", {}).items()}
-        alpha = {int(k): parse_scalar(v) for k, v in data.get("alpha", {}).items()}
-        beta = {int(k): parse_scalar(v) for k, v in data.get("beta", {}).items()}
-    except MalformedInputError:
-        raise
-    except (AttributeError, TypeError, ValueError) as exc:
+        mu = _parse_table(data.get("mu", {}), _parse_pair_key)
+        mu_sq = _parse_table(data.get("mu_sq", {}), _parse_pair_key)
+        alpha = _parse_table(data.get("alpha", {}), parse_int)
+        beta = _parse_table(data.get("beta", {}), parse_int)
+    except AttributeError as exc:  # a table that is not an object
         raise MalformedInputError(f"bad germ JSON: {exc}") from exc
     return Germ(config, ParamPoint(mu=mu, alpha=alpha, beta=beta, mu_sq=mu_sq))

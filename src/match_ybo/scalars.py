@@ -13,15 +13,15 @@ from fractions import Fraction
 
 from .errors import MalformedInputError
 
-_SCALAR_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
-_INT_RE = re.compile(r"^-?\d+$")
+_SCALAR_RE = re.compile(r"-?\d+(/[1-9]\d*)?")
+_INT_RE = re.compile(r"-?\d+")
 
 
 def parse_int(value) -> int:
     """Parse an integer field: an int or a decimal string, never a bool or float."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if not isinstance(value, str) or not _INT_RE.match(value):
+    if not isinstance(value, str) or not _INT_RE.fullmatch(value):
         raise MalformedInputError(f"bad integer {value!r}")
     return int(value)
 
@@ -37,7 +37,7 @@ def parse_scalar(text) -> Fraction:
     """Parse "p" or "p/q" (or an int, but not a bool) into a Fraction."""
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if not isinstance(text, str) or not _SCALAR_RE.match(text):
+    if not isinstance(text, str) or not _SCALAR_RE.fullmatch(text):
         raise MalformedInputError(f"bad scalar {text!r}")
     return Fraction(text)
 

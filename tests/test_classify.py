@@ -7,7 +7,6 @@ import pytest
 from match_ybo.classify import (
     EdgeLabelH,
     EdgeLabelI,
-    admissible,
     classify,
     coarsen,
     edge_labels,
@@ -17,7 +16,6 @@ from match_ybo.classify import (
     orbit_of_triple,
     recover_counties,
     recover_nations,
-    recover_order,
     six_rule_check,
     triangle_flip,
     triangle_perm,
@@ -28,7 +26,15 @@ from match_ybo.diagrams import (
     enumerate_transversal,
 )
 from match_ybo.errors import InadmissibleEdgeError, NotASolutionError
-from match_ybo.matchcat import MatchMatrix2, act_perm, invertible, matrix, x_equivalent
+from match_ybo.matchcat import (
+    EdgeBlock,
+    MatchMatrix2,
+    act_perm,
+    edge_pairs,
+    invertible,
+    matrix,
+    x_equivalent,
+)
 from match_ybo.recipe import Germ, ParamPoint, generic_point, permute_germ, rec
 from match_ybo.ybe import is_solution
 
@@ -91,11 +97,11 @@ def test_fine_labels_of_germ_operator():
     assert EdgeLabelI.SLASH in found
 
 
-def test_admissible():
+def test_is_solution_cases():
     for c in enumerate_transversal(3):
-        assert admissible(rec(germ_of(c)))
-    assert not admissible(matrix((1, 1), {(1, 2): (1, 1, 1, 1)}))
-    assert not admissible(matrix((1, 2), {(1, 2): (1, 0, 0, 1)}))
+        assert is_solution(rec(germ_of(c)))
+    assert not is_solution(matrix((1, 1), {(1, 2): (1, 1, 1, 1)}))
+    assert not is_solution(matrix((1, 2), {(1, 2): (1, 0, 0, 1)}))
 
 
 def test_triangle_actions():
@@ -155,14 +161,16 @@ def test_six_rule_matches_admissibility():
 def test_recover_nations_and_counties():
     config = enumerate_transversal(4)[10]
     m = rec(germ_of(config))
-    nations = recover_nations(m)
+    labels = edge_labels(m)
+    nations = recover_nations(m, labels)
     assert tuple(sorted(v for nat in nations for v in nat)) == (1, 2, 3, 4)
     for nat, expected in zip(nations, config.nations):
         assert tuple(sorted(nat)) == tuple(sorted(expected.vertices))
+        assert recover_counties(nat, labels) == tuple(sorted(c.vertices for c in expected.counties))
 
 
-def test_recover_order_detects_inconsistency():
-    # hand-built labels: county {1} beats {2} on one edge, loses on the other
+def test_classify_rejects_inconsistent_county_order():
+    # county {1, 2} comes before {3} on edge 13 and after it on edge 23
     m = matrix(
         (1, 1, 1),
         {
@@ -171,10 +179,10 @@ def test_recover_order_detects_inconsistency():
             (2, 3): (0, -1, 1, 2),
         },
     )
-    counties = recover_counties(m, (1, 2, 3))
-    assert counties == ((1, 2), (3,))
-    with pytest.raises(NotASolutionError):
-        recover_order(m, counties)
+    assert not is_solution(m)
+    with pytest.raises(NotASolutionError) as info:
+        classify(m)
+    assert str(info.value).startswith("constraints fail, first witness ((1, 2, 3), (1, 3, 2), 6,")
 
 
 def test_classify_round_trip_exact():
@@ -260,15 +268,63 @@ def one_entry_corrupted(m, rng):
     return MatchMatrix2(m.n, m.vertices, edges)
 
 
-def test_classify_accepts_exactly_the_solutions():
-    rng = random.Random(2112)
-    pool = []
-    for n in range(2, 5):
-        for config in enumerate_transversal(n):
-            for _ in range(2):
-                w = Permutation(tuple(rng.sample(range(1, n + 1), n)))
-                m = x_rescaled(act_perm(rec(non_generic_germ(config, rng)), w), rng)
-                pool.extend((m, one_entry_corrupted(m, rng)))
+def relabelled_rec(config, rng):
+    """rec at a non-generic point, relabelled by a random w and X-rescaled."""
+    n = config.n
+    w = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+    return x_rescaled(act_perm(rec(non_generic_germ(config, rng)), w), rng)
+
+
+PATTERN_SCALARS = (1, 2, -1)
+
+
+def label_pattern_matrix(n, rng):
+    """Scalars from {1, 2, -1}; each edge a random zero, slash, + or - block.
+    Zero edges join equal scalars only, so every edge is labellable."""
+    vertices = [rng.choice(PATTERN_SCALARS) for _ in range(n)]
+    edges = {}
+    for i, j in edge_pairs(n):
+        ai, aj = vertices[i - 1], vertices[j - 1]
+        kind = rng.choice("0/+-" if ai == aj else "/+-")
+        x = rng.choice(PATTERN_SCALARS)
+        if kind == "0":
+            edges[(i, j)] = (ai, 0, 0, ai)
+        elif kind == "/":
+            edges[(i, j)] = (0, x, rng.choice(PATTERN_SCALARS), 0)
+        else:
+            # the signed block of a nation with scalars ai and x
+            t, prod = ai + x, -ai * x
+            edges[(i, j)] = (t, prod, 1, 0) if kind == "+" else (0, prod, 1, t)
+    return matrix(vertices, edges)
+
+
+def label_mutated(m, rng):
+    """One label mutation: reverse a sign block, turn a zero edge into a
+    slash, or move a vertex scalar to another value."""
+    edges = dict(m.edges)
+    kind = rng.choice(("sign", "zero", "vertex"))
+    signed = [p for p, blk in edges.items() if blk.b != 0 and (blk.a == 0) != (blk.d == 0)]
+    zeros = [p for p, blk in edges.items() if blk.b == 0]
+    if kind == "sign" and signed:
+        pair = rng.choice(signed)
+        blk = edges[pair]
+        edges[pair] = blk._replace(a=blk.d, d=blk.a)
+    elif kind == "zero" and zeros:
+        pair = rng.choice(zeros)
+        x = rng.choice(VALUES)
+        edges[pair] = EdgeBlock(Fraction(0), x, x, Fraction(0))
+    else:
+        vertices = list(m.vertices)
+        k = rng.randrange(m.n)
+        vertices[k] = rng.choice([v for v in VALUES if v != vertices[k]])
+        return MatchMatrix2(m.n, tuple(vertices), edges)
+    return MatchMatrix2(m.n, m.vertices, edges)
+
+
+def check_accepts_exactly_the_solutions(pool):
+    """classify accepts exactly the solutions in the pool, and rejects every
+    invertible, labellable non-solution with a constraint witness.  Returns
+    the accepted and witnessed counts."""
     accepted = witnessed = 0
     for m in pool:
         try:
@@ -281,7 +337,33 @@ def test_classify_accepts_exactly_the_solutions():
         else:
             assert is_solution(m)
             accepted += 1
+    return accepted, witnessed
+
+
+def test_classify_accepts_exactly_the_solutions():
+    rng = random.Random(2112)
+    pool = []
+    for n in range(2, 5):
+        for config in enumerate_transversal(n):
+            for _ in range(2):
+                m = relabelled_rec(config, rng)
+                pool.extend((m, one_entry_corrupted(m, rng)))
+    accepted, witnessed = check_accepts_exactly_the_solutions(pool)
     assert accepted >= 100 and witnessed >= 50
+
+
+def test_classify_rejects_label_mutations_with_a_witness():
+    # label patterns that no solution has: random ones, and solutions with one
+    # or two labels mutated.  classify reads a germ off them without checking
+    # the labels, so the X-equivalence certificate alone must reject them.
+    rng = random.Random(7)
+    pool = [label_pattern_matrix(n, rng) for n in range(2, 7) for _ in range(40)]
+    for n in range(2, 5):
+        for config in enumerate_transversal(n):
+            m = label_mutated(relabelled_rec(config, rng), rng)
+            pool.append(label_mutated(m, rng) if rng.random() < 0.5 else m)
+    accepted, witnessed = check_accepts_exactly_the_solutions(pool)
+    assert accepted >= 20 and witnessed >= 150
 
 
 def all_labellable(m):

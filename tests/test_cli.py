@@ -214,6 +214,36 @@ def test_configuration_list_fields_must_be_arrays(capsys, tmp_path, nations):
     assert "JSON array" in json.loads(out)["error"]
 
 
+TWO_LETTER_NATIONS = {"n": 2, "nations": [
+    {"counties": [{"vertices": [v], "part": "first"}]} for v in (1, 2)
+]}
+
+
+@pytest.mark.parametrize("table, keys", [
+    ("alpha", {"0_1": "5", "2": "3"}),
+    ("alpha", {"1": "5", " 2": "3"}),
+    ("alpha", {"1\n": "5", "2": "3"}),
+    ("alpha", {"1": "5", "01": "9", "2": "3"}),  # 01 repeats 1
+    ("mu", {"1 , 2": "7"}),
+    ("mu", {"1,2": "7", "1,02": "7"}),
+])
+def test_germ_keys_are_strict(capsys, tmp_path, table, keys):
+    data = dict(TWO_LETTER_NATIONS, alpha={"1": "5", "2": "3"}, beta={}, mu={"1,2": "7"})
+    assert run(capsys, "build", "--germ", write(tmp_path, "valid.json", data))[0] == 0
+    data[table] = keys
+    path = write(tmp_path, "germ.json", data)
+    rc, out = run(capsys, "build", "--germ", path)
+    assert rc == 2
+    assert "error" in json.loads(out)
+
+
+def test_enumerate_rejects_n_over_the_bound(capsys):
+    # T_11 would take minutes and the word list grows as 3^(n-1)
+    rc, out = run(capsys, "enumerate", "--n", "11")
+    assert rc == 2
+    assert "at most 10" in json.loads(out)["error"]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_fibre_rejects_jobs_below_one(capsys, jobs):
     rc, out = run(capsys, "fibre", "--prime", "5", "--jobs", jobs)
