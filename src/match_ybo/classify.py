@@ -41,26 +41,6 @@ from .recipe import Germ, ParamPoint, rec
 from .scalars import rational_sqrt
 from .ybe import constraint_residuals
 
-__all__ = [
-    "EdgeLabelH",
-    "EdgeLabelI",
-    "classify",
-    "coarsen",
-    "edge_labels",
-    "g3_orbits",
-    "label_edge",
-    "no_minus_rep",
-    "orbit_of_triple",
-    "recover_colours",
-    "recover_counties",
-    "recover_nations",
-    "recover_order",
-    "six_rule_check",
-    "triangle_flip",
-    "triangle_perm",
-]
-
-
 class EdgeLabelH(str, Enum):
     """Coarse edge labels."""
 

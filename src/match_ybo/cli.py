@@ -22,7 +22,7 @@ from .diagrams import (
 )
 from .errors import MatchYboError, MalformedInputError, NotASolutionError
 from .matchcat import matrix_from_json, matrix_to_json
-from .oracle import fibre_report, fibre_summary, parse_fibre_type
+from .oracle import fibre_report, fibre_summary
 from .recipe import Germ, generic_point, germ_from_json, germ_to_json, rec
 from .scalars import format_scalar
 from .selftest import run_selftest
@@ -34,10 +34,20 @@ def emit(obj):
     print(json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True))
 
 
+def _unique_keys(pairs):
+    """A JSON object; a key given twice is an error, not a silent overwrite."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise MalformedInputError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
 def _load(path):
     try:
         with open(path, "r", encoding="ascii") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
         raise MalformedInputError(f"{path} is not ASCII: {exc}") from exc
 
@@ -184,7 +194,7 @@ def cmd_fibre(args):
     if args.jobs < 1:
         raise MalformedInputError(f"--jobs must be at least 1, got {args.jobs}")
     if args.type:
-        emit(fibre_summary(parse_fibre_type(args.type), args.prime))
+        emit(fibre_summary(args.type, args.prime))
     else:
         emit(fibre_report(args.prime, jobs=args.jobs))
     return 0

@@ -196,10 +196,6 @@ class Permutation:
         return Permutation(tuple(self(other(i)) for i in range(1, self.n + 1)))
 
     @staticmethod
-    def identity(n):
-        return Permutation(tuple(range(1, n + 1)))
-
-    @staticmethod
     def all(n) -> Iterator:
         for images in itertools.permutations(range(1, n + 1)):
             yield Permutation(images)
@@ -246,14 +242,6 @@ class Configuration:
         if sorted(seen) != list(range(1, self.n + 1)):
             raise MalformedInputError(f"counties must partition 1..{self.n}")
 
-    def nation_of(self, v) -> int:
-        """1-based index of the nation containing vertex v."""
-        for i, nat in enumerate(self.nations, start=1):
-            for c in nat.counties:
-                if v in c.vertices:
-                    return i
-        raise MalformedInputError(f"no such vertex {v}")
-
 
 def _sorted_nations(nations):
     return tuple(sorted(nations, key=lambda nat: min(nat.vertices)))
@@ -287,12 +275,6 @@ def book_order(multiset) -> Configuration:
 def enumerate_transversal(n) -> list:
     """Book-order configurations of all shape multisets with n boxes."""
     return [book_order(f) for f in enumerate_multisets(n)]
-
-
-def multiset_of_configuration(config) -> DiagramMultiset:
-    shapes = sorted((shape_of_nation(nat) for nat in config.nations), key=shape_key)
-    entries = [(s, len(list(g))) for s, g in itertools.groupby(shapes)]
-    return DiagramMultiset(tuple(entries))
 
 
 def configuration_perm(config, perm) -> Configuration:
@@ -351,47 +333,6 @@ def canonicalize(config):
     return canonical, Permutation(tuple(images))
 
 
-def _set_partitions(items):
-    """All partitions of a list into nonempty blocks (order-insensitive)."""
-    if not items:
-        yield []
-        return
-    head, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[head] + part[i]] + part[i + 1 :]
-        yield [[head]] + part
-
-
-def enumerate_configurations(n) -> list:
-    """Every configuration on {1..n}, exhaustively, with normalized tag names.
-
-    Nations and counties range over all set partitions, county orders over all
-    permutations, and part tags over all splits into at most two parts with
-    the first county tagged "first". Intended for small n in tests.
-    """
-    if n > 8:
-        raise OrbitTooLargeError(f"refusing exhaustive generation for n={n}")
-
-    def nation_variants(block):
-        out = []
-        for counties in _set_partitions(sorted(block)):
-            blocks = [tuple(sorted(b)) for b in counties]
-            for order in itertools.permutations(blocks):
-                for tags in itertools.product(PART_TAGS, repeat=len(order) - 1):
-                    cs = [County(order[0], "first")]
-                    cs += [County(b, t) for b, t in zip(order[1:], tags)]
-                    out.append(Nation(tuple(cs)))
-        return out
-
-    configs = []
-    for p in _set_partitions(list(range(1, n + 1))):
-        pools = [nation_variants(block) for block in p]
-        for choice in itertools.product(*pools):
-            configs.append(Configuration(n, _sorted_nations(choice)))
-    return configs
-
-
 def orbit(config, include_flip=False) -> list:
     """All distinct relabellings of config, optionally with the county-order flip."""
     if config.n > 8:
@@ -413,18 +354,6 @@ def canonical_structure_key(config):
         nat = _normalize_tags(nat)
         nations.append(tuple((c.vertices, c.part) for c in nat.counties))
     return tuple(sorted(nations))
-
-
-def shape_to_json(shape):
-    return {"rows": [{"len": r.length, "shaded": r.shaded} for r in shape.rows]}
-
-
-def shape_from_json(data) -> Shape:
-    try:
-        rows = tuple(Row(int(r["len"]), bool(r["shaded"])) for r in data["rows"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInputError(f"bad shape JSON: {exc}") from exc
-    return Shape(rows)
 
 
 def configuration_to_json(config):

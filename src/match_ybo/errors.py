@@ -9,17 +9,6 @@ class MalformedInputError(MatchYboError):
     """Input data (JSON, CLI argument) does not satisfy its schema."""
 
 
-class SingularMatrixError(MatchYboError):
-    """A vertex scalar or edge block is not invertible.
-
-    `part` names the offending piece, e.g. "vertex 3" or "block (1,2)".
-    """
-
-    def __init__(self, part):
-        self.part = part
-        super().__init__(f"singular {part}")
-
-
 class InadmissibleEdgeError(MatchYboError):
     """An edge block fits none of the six admissible patterns."""
 

@@ -35,10 +35,6 @@ class EdgeBlock(NamedTuple):
     d: Fraction
 
 
-def block(a, b, c, d) -> EdgeBlock:
-    return EdgeBlock(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
-
-
 def edge_pairs(n):
     """Edges (i,j), i<j, in listing order 12, 13, 23, 14, 24, 34, ..."""
     return [(i, j) for j in range(2, n + 1) for i in range(1, j)]
@@ -70,13 +66,6 @@ class MatchMatrix2:
         if i < j:
             return self.edges[(i, j)]
         return _antitranspose(self.edges[(j, i)])
-
-
-def matrix(vertices, edges) -> MatchMatrix2:
-    """Build a MatchMatrix2, coercing entries to Fraction."""
-    vs = tuple(Fraction(v) for v in vertices)
-    es = {pair: block(*blk) for pair, blk in edges.items()}
-    return MatchMatrix2(len(vs), vs, es)
 
 
 def _antitranspose(blk) -> EdgeBlock:

@@ -35,13 +35,11 @@ _EDGE_OFFSETS = (3, 7, 11)
 _VERTEX_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def parse_fibre_type(text):
-    tokens = tuple(t.strip() for t in text.split(","))
-    return _check_type(tokens)
-
-
-def _check_type(tokens):
-    tokens = tuple(str(t) for t in tokens)
+def parse_fibre_type(ftype):
+    """A fibre type as a token triple, from "0,+,+" or from a token sequence."""
+    if isinstance(ftype, str):
+        ftype = (t.strip() for t in ftype.split(","))
+    tokens = tuple(str(t) for t in ftype)
     if len(tokens) != 3 or any(t not in _TOKENS for t in tokens):
         raise MalformedInputError(f"bad fibre type {tokens!r}")
     return tokens
@@ -127,7 +125,7 @@ def _check_prime(p):
 
 def fibre_scan(ftype, prime):
     """Yield every gauged hit of the fibre over F_prime."""
-    ftype = _check_type(ftype if not isinstance(ftype, str) else parse_fibre_type(ftype))
+    ftype = parse_fibre_type(ftype)
     _check_prime(prime)
     coarse = tuple(coarsen(t) for t in ftype)
     nz = range(1, prime)
@@ -152,22 +150,6 @@ def fibre_scan(ftype, prime):
                     vec = partial + b23
                     if check_vector(vec, prime):
                         yield vec
-
-
-def enumerate_fibre(ftype, prime):
-    """All gauged hits as a list; prefer fibre_scan for the big fibres."""
-    return list(fibre_scan(ftype, prime))
-
-
-def x_rescale(vec, edge, x, p):
-    """Apply the X-action with parameter x at one edge (0, 1, or 2) mod p."""
-    if x % p == 0:
-        raise MalformedInputError("x must be invertible")
-    off = _EDGE_OFFSETS[edge]
-    out = list(vec)
-    out[off + 1] = out[off + 1] * x % p
-    out[off + 2] = out[off + 2] * pow(x, -1, p) % p
-    return tuple(out)
 
 
 def _family_rule(ftype):
@@ -205,8 +187,9 @@ def _family_rule(ftype):
 
 
 def fibre_summary(ftype, prime):
-    """Count a fibre and aggregate family membership in one pass."""
-    ftype = _check_type(ftype if not isinstance(ftype, str) else parse_fibre_type(ftype))
+    """Count a fibre and aggregate family membership in one pass; fibre_scan
+    checks the prime."""
+    ftype = parse_fibre_type(ftype)
     rule = _family_rule(ftype)
     count = 0
     family = None if rule is None else True
@@ -236,11 +219,11 @@ def default_types():
 
 
 def fibre_report(prime, types=None, jobs=1):
-    """Fibre summaries for a list of types (default: one per orbit)."""
+    """Fibre summaries for a list of types (default: one per orbit); each
+    summary parses its own type."""
     _check_prime(prime)
     if types is None:
         types = default_types()
-    types = [_check_type(t if not isinstance(t, str) else parse_fibre_type(t)) for t in types]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -24,13 +24,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diagrams import (
-    Configuration,
-    configuration_from_json,
-    configuration_perm,
-    configuration_to_json,
-    flip_configuration,
-)
+from .diagrams import Configuration, configuration_from_json, configuration_to_json
 from .errors import MalformedInputError
 from .matchcat import EdgeBlock, MatchMatrix2, edge_pairs
 from .scalars import format_scalar, parse_int, parse_scalar
@@ -129,38 +123,6 @@ def rec(germ) -> MatchMatrix2:
                 edges[(u, v)] = EdgeBlock(Fraction(0), prod, Fraction(1), t)
     vertices = tuple(scalar[v] for v in range(1, config.n + 1))
     return MatchMatrix2(config.n, vertices, edges)
-
-
-def _nation_index_map(config, perm):
-    """old nation index -> new index after configuration_perm re-sorting."""
-    keyed = []
-    for i, nat in enumerate(config.nations, start=1):
-        keyed.append((min(perm(v) for v in nat.vertices), i))
-    keyed.sort()
-    return {old: new for new, (_, old) in enumerate(keyed, start=1)}
-
-
-def permute_germ(germ, perm) -> Germ:
-    """Transport a germ along a vertex relabelling."""
-    config = configuration_perm(germ.config, perm)
-    ix = _nation_index_map(germ.config, perm)
-    pp = germ.params
-
-    def move_pair(table):
-        return {tuple(sorted((ix[i], ix[j]))): v for (i, j), v in table.items()}
-
-    params = ParamPoint(
-        mu=move_pair(pp.mu),
-        alpha={ix[i]: v for i, v in pp.alpha.items()},
-        beta={ix[i]: v for i, v in pp.beta.items()},
-        mu_sq=move_pair(pp.mu_sq),
-    )
-    return Germ(config, params)
-
-
-def flip_germ(germ) -> Germ:
-    """Reverse every nation's county order; parameters ride along."""
-    return Germ(flip_configuration(germ.config), germ.params)
 
 
 def germ_to_json(germ):

@@ -36,15 +36,15 @@ from .diagrams import Permutation
 from .matchcat import (
     EdgeBlock,
     MatchMatrix2,
+    act_perm,
     compose,
+    edge_pairs,
     identity_op,
     invertible,
     kron,
-    matrix,
     restrict,
     sparse_sub,
     to_sparse,
-    act_perm,
 )
 
 MAX_WITNESSES = 16
@@ -131,36 +131,19 @@ def entry_vector(m):
 
 
 def _index_matrix(n):
-    fields = 4
-    vertices = list(range(n))
-    edges = {}
-    k = n
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            edges[(i, j)] = tuple(range(k, k + fields))
-            k += fields
-    return matrix(vertices, edges)
+    """The n-letter matrix whose entry_vector is 0, 1, 2, ..."""
+    es = {pair: EdgeBlock(*range(n + 4 * k, n + 4 * k + 4)) for k, pair in enumerate(edge_pairs(n))}
+    return MatchMatrix2(n, tuple(range(n)), es)
 
 
 def _reindex_maps(n):
     base = _index_matrix(n)
-    maps = []
-    perms = []
-    for perm in Permutation.all(n):
-        img = act_perm(base, perm)
-        maps.append(tuple(int(x) for x in entry_vector(img)))
-        perms.append(perm)
-    return tuple(perms), tuple(maps)
+    perms = tuple(Permutation.all(n))
+    return perms, tuple(entry_vector(act_perm(base, perm)) for perm in perms)
 
 
 TRIPLE_PERMS, TRIPLE_REINDEX = _reindex_maps(3)
 PAIR_PERMS, PAIR_REINDEX = _reindex_maps(2)
-
-
-def base_constraints(m3):
-    """Residuals of the eight relations on a 3-letter matrix, identity order."""
-    v = entry_vector(m3)
-    return tuple(eval_poly(p, v) for p in TRIPLE_POLYS)
 
 
 def constraint_residuals(m) -> ResidualReport:

@@ -2,14 +2,37 @@
 
 They rebuild, from their definitions, things the library computes another
 way: permutation and flip actions as sparse conjugations, the blockwise
-inverse, and the alpha-form support of a level-2 operator.
+inverse, and the alpha-form support of a level-2 operator.  `matrix` and
+`block` build Fraction-valued test inputs.
 """
 
 import itertools
 from fractions import Fraction
 
-from match_ybo.errors import MalformedInputError, SingularMatrixError
+from match_ybo.errors import MalformedInputError, MatchYboError
 from match_ybo.matchcat import EdgeBlock, MatchMatrix2, SparseOp, edge_pairs
+
+
+class SingularMatrixError(MatchYboError):
+    """A vertex scalar or edge block is not invertible.
+
+    `part` names the offending piece, e.g. "vertex 3" or "block (1,2)".
+    """
+
+    def __init__(self, part):
+        self.part = part
+        super().__init__(f"singular {part}")
+
+
+def block(a, b, c, d) -> EdgeBlock:
+    return EdgeBlock(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+
+
+def matrix(vertices, edges) -> MatchMatrix2:
+    """Build a MatchMatrix2, coercing entries to Fraction."""
+    vs = tuple(Fraction(v) for v in vertices)
+    es = {pair: block(*blk) for pair, blk in edges.items()}
+    return MatchMatrix2(len(vs), vs, es)
 
 
 def sparse(n, level, entries) -> SparseOp:

@@ -32,11 +32,13 @@ from match_ybo.matchcat import (
     act_perm,
     edge_pairs,
     invertible,
-    matrix,
     x_equivalent,
 )
-from match_ybo.recipe import Germ, ParamPoint, generic_point, permute_germ, rec
+from match_ybo.recipe import Germ, ParamPoint, generic_point, rec
 from match_ybo.ybe import is_solution
+
+from helpers import permute_germ
+from matchcat_oracles import matrix
 
 
 def germ_of(config, seed=0):

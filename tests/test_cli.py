@@ -4,8 +4,10 @@ import pytest
 
 from match_ybo.cli import main
 from match_ybo.diagrams import configuration_to_json, enumerate_transversal
-from match_ybo.matchcat import matrix_to_json, matrix
+from match_ybo.matchcat import matrix_to_json
 from match_ybo.recipe import Germ, generic_point, germ_to_json, rec
+
+from matchcat_oracles import matrix
 
 
 def canonical(obj):
@@ -235,6 +237,24 @@ def test_germ_keys_are_strict(capsys, tmp_path, table, keys):
     rc, out = run(capsys, "build", "--germ", path)
     assert rc == 2
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("build --germ", '{"n": 2, "nations": [{"counties": [{"vertices": [1], "part": "first"}]},'
+                     ' {"counties": [{"vertices": [2], "part": "first"}]}],'
+                     ' "alpha": {"1": "5", "1": "9", "2": "3"}, "beta": {}, "mu": {"1,2": "7"}}'),
+    ("verify --matrix", '{"n": 2, "vertices": ["1", "1"],'
+                        ' "edges": [{"i": 1, "j": 2, "a": "5", "b": "1", "c": "1", "d": "0", "a": "0"}]}'),
+    ("signature --config", '{"n": 2, "nations": [{"counties": [{"vertices": [1], "part": "second",'
+                           ' "vertices": [1, 2], "part": "first"}]}]}'),
+], ids=["germ-table", "matrix-edge", "configuration-county"])
+def test_repeated_json_keys_exit_2(capsys, tmp_path, command, text):
+    # json.load alone keeps the last value of a repeated key
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="ascii")
+    rc, out = run(capsys, *command.split(), str(path))
+    assert rc == 2
+    assert "repeated key" in json.loads(out)["error"]
 
 
 def test_enumerate_rejects_n_over_the_bound(capsys):

@@ -15,22 +15,26 @@ from match_ybo.diagrams import (
     configuration_from_json,
     configuration_perm,
     configuration_to_json,
-    enumerate_configurations,
     enumerate_multisets,
     enumerate_transversal,
     euler_count,
     flip_configuration,
-    multiset_of_configuration,
     orbit,
-    shape_from_json,
     shape_key,
     shape_of_word,
-    shape_to_json,
     shapes_with_boxes,
     word_key,
     word_of_shape,
 )
 from match_ybo.errors import MalformedInputError, OrbitTooLargeError
+
+from helpers import (
+    enumerate_configurations,
+    multiset_of_configuration,
+    nation_of,
+    shape_from_json,
+    shape_to_json,
+)
 
 TRANSVERSAL_COUNTS = {1: 1, 2: 4, 3: 13, 4: 46, 5: 154}
 CONFIG_COUNTS = {2: 6, 3: 53, 4: 619}
@@ -85,7 +89,7 @@ def test_transversal_configs_are_canonical_fixed_points():
         for c in enumerate_transversal(n):
             canon, w = canonicalize(c)
             assert canon == c
-            assert w == Permutation.identity(n)
+            assert w == Permutation(tuple(range(1, n + 1)))
 
 
 def test_transversal_multisets_are_distinct_and_recovered():
@@ -128,8 +132,8 @@ def test_configuration_perm_acts():
             assert multiset_of_configuration(moved) == multiset_of_configuration(c)
             # w(v) sits in a nation of the same size as v's
             for v in range(1, 4):
-                a = c.nation_of(v)
-                b = moved.nation_of(w(v))
+                a = nation_of(c, v)
+                b = nation_of(moved, w(v))
                 assert c.nations[a - 1].size == moved.nations[b - 1].size
 
 

@@ -3,20 +3,18 @@ from fractions import Fraction
 import pytest
 
 from match_ybo.diagrams import Permutation
-from match_ybo.errors import MalformedInputError, SingularMatrixError
+from match_ybo.errors import MalformedInputError
 from match_ybo.matchcat import (
     EdgeBlock,
     MatchMatrix2,
     SparseOp,
     act_flip,
     act_perm,
-    block,
     compose,
     edge_pairs,
     identity_op,
     invertible,
     kron,
-    matrix,
     matrix_from_json,
     matrix_to_json,
     restrict,
@@ -26,7 +24,17 @@ from match_ybo.matchcat import (
     x_normalize,
 )
 
-from matchcat_oracles import charge_conserving, flip_op, from_sparse, inverse, perm_op, sparse
+from matchcat_oracles import (
+    SingularMatrixError,
+    block,
+    charge_conserving,
+    flip_op,
+    from_sparse,
+    inverse,
+    matrix,
+    perm_op,
+    sparse,
+)
 
 
 def sample():

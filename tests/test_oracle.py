@@ -7,14 +7,14 @@ from match_ybo.errors import MalformedInputError
 from match_ybo.oracle import (
     _family_rule,
     default_types,
-    enumerate_fibre,
     fibre_report,
     fibre_scan,
     fibre_summary,
     parse_fibre_type,
-    x_rescale,
 )
 from match_ybo.ybe import PAIR_POLYS, PAIR_REINDEX, TRIPLE_POLYS, TRIPLE_REINDEX, eval_poly
+
+from helpers import enumerate_fibre, x_rescale
 
 # Entry indices (a1 or a2, then a, b, c, d) of each block of the 15-entry vector.
 BLOCKS = ((0, 1, 3, 4, 5, 6), (0, 2, 7, 8, 9, 10), (1, 2, 11, 12, 13, 14))

@@ -12,18 +12,19 @@ from match_ybo.diagrams import (
     enumerate_transversal,
 )
 from match_ybo.errors import MalformedInputError
-from match_ybo.matchcat import act_flip, act_perm, block, invertible, x_equivalent
+from match_ybo.matchcat import act_flip, act_perm, invertible, x_equivalent
 from match_ybo.recipe import (
     Germ,
     ParamPoint,
-    flip_germ,
     generic_point,
     germ_from_json,
     germ_to_json,
-    permute_germ,
     rec,
 )
 from match_ybo.ybe import ybe_residual_direct
+
+from helpers import flip_germ, permute_germ
+from matchcat_oracles import block
 
 TWO_COUNTY = Configuration(
     3,

@@ -12,7 +12,6 @@ from match_ybo.diagrams import (
     flip_configuration,
 )
 from match_ybo.errors import IrrationalSpectrumError
-from match_ybo.matchcat import matrix
 from match_ybo.recipe import Germ, ParamPoint, generic_point, rec
 from match_ybo.signature import (
     degeneracy_partition,
@@ -21,6 +20,8 @@ from match_ybo.signature import (
     signature_notation,
     spectrum,
 )
+
+from matchcat_oracles import matrix
 
 
 def test_spectrum_of_block_diagonal():

@@ -12,7 +12,6 @@ from match_ybo.matchcat import (
     compose,
     edge_pairs,
     kron,
-    matrix,
     restrict,
     sparse_sub,
     to_sparse,
@@ -26,7 +25,6 @@ from match_ybo.ybe import (
     TRIPLE_PERMS,
     TRIPLE_POLYS,
     TRIPLE_REINDEX,
-    base_constraints,
     constraint_residuals,
     entry_vector,
     eval_poly,
@@ -34,6 +32,9 @@ from match_ybo.ybe import (
     is_solution_by_subsets,
     ybe_residual_direct,
 )
+
+from helpers import base_constraints
+from matchcat_oracles import matrix
 
 
 def random_matrix(n, rng):
