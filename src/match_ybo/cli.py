@@ -50,6 +50,8 @@ def _load(path):
             return json.load(fh, object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
         raise MalformedInputError(f"{path} is not ASCII: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedInputError(f"{path} nests too deeply") from exc
 
 
 def _seed(args):
@@ -242,7 +244,8 @@ def build_parser():
     p.set_defaults(func=cmd_signature)
 
     p = sub.add_parser("orbit", help="relabelling orbit of a configuration")
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", required=True,
+                   help="configuration JSON file, n <= 8: the scan visits all n! relabellings")
     p.add_argument("--flip", action="store_true")
     p.set_defaults(func=cmd_orbit)
 

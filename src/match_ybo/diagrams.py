@@ -1,18 +1,17 @@
-"""Words, stacked-row shapes, and vertex configurations.
+"""Words and vertex configurations.
 
 A *shape* is a stack of rows of boxes; the top row is unshaded, later rows
-may be shaded. Shapes with k+1 boxes correspond bijectively to words of
-length k over the letters {1,2,3}: reading the word left to right, letter 1
-appends a box to the last row, letter 2 opens a new unshaded row, letter 3
-opens a new shaded row, starting from a single unshaded box.
+may be shaded. A shape is stored as its word: a shape with k+1 boxes is a
+word of length k over the letters {1,2,3}. Reading the word left to right
+from a single unshaded box, letter 1 appends a box to the last row, letter 2
+opens a new unshaded row and letter 3 opens a new shaded row.
 
 A *configuration* partitions the vertex set {1..n} into nations; each nation
 is an ordered list of counties (sets of vertices), and each county carries a
 part tag ("first" or "second") splitting the nation's counties into at most
-two parts. A multiset of shapes with n boxes total determines the canonical
-"book order" configuration: nations in word order of their shapes, vertices
-numbered along rows, row order giving the county order, shading giving the
-part tags.
+two parts. A multiset of words with n boxes total determines the canonical
+"book order" configuration: nations in word order, vertices numbered along
+rows, row order giving the county order, shading giving the part tags.
 """
 
 from __future__ import annotations
@@ -24,64 +23,7 @@ from typing import Iterator, NamedTuple
 from .errors import MalformedInputError, OrbitTooLargeError
 from .scalars import parse_int, parse_list
 
-Word = tuple  # of ints in {1,2,3}
-
 PART_TAGS = ("first", "second")
-
-
-class Row(NamedTuple):
-    length: int
-    shaded: bool
-
-
-@dataclass(frozen=True)
-class Shape:
-    rows: tuple
-
-    def __post_init__(self):
-        if not self.rows:
-            raise MalformedInputError("shape needs at least one row")
-        for r in self.rows:
-            if not isinstance(r, Row) or r.length < 1:
-                raise MalformedInputError(f"bad row {r!r}")
-        if self.rows[0].shaded:
-            raise MalformedInputError("first row must be unshaded")
-
-    @property
-    def boxes(self):
-        return sum(r.length for r in self.rows)
-
-
-def shape_of_word(word) -> Shape:
-    """Build the shape of a word over {1,2,3}; boxes = len(word) + 1."""
-    rows = [[1, False]]
-    for letter in word:
-        if letter == 1:
-            rows[-1][0] += 1
-        elif letter == 2:
-            rows.append([1, False])
-        elif letter == 3:
-            rows.append([1, True])
-        else:
-            raise MalformedInputError(f"bad letter {letter!r}")
-    return Shape(tuple(Row(n, s) for n, s in rows))
-
-
-def word_of_shape(shape) -> Word:
-    """Inverse of shape_of_word."""
-    out = []
-    rows = list(shape.rows)
-    while rows != [Row(1, False)]:
-        last = rows[-1]
-        if last.length > 1:
-            out.append(1)
-            rows[-1] = Row(last.length - 1, last.shaded)
-        else:
-            out.append(3 if last.shaded else 2)
-            rows.pop()
-            if not rows:
-                raise MalformedInputError("first row must be unshaded")
-    return tuple(reversed(out))
 
 
 def word_key(word):
@@ -89,63 +31,33 @@ def word_key(word):
     return (-len(word), word)
 
 
-def shape_key(shape):
-    return word_key(word_of_shape(shape))
-
-
-def shapes_with_boxes(boxes) -> list:
-    """All shapes with the given box count, in word order."""
-    words = sorted(itertools.product((1, 2, 3), repeat=boxes - 1))
-    return [shape_of_word(w) for w in words]
-
-
-@dataclass(frozen=True)
-class DiagramMultiset:
-    """Multiset of shapes, stored as (shape, multiplicity) pairs in word order."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        keys = [shape_key(s) for s, _ in self.entries]
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
-            raise MalformedInputError("entries must be distinct shapes in word order")
-        if any(m < 1 for _, m in self.entries):
-            raise MalformedInputError("multiplicities must be positive")
-
-    @property
-    def boxes(self):
-        return sum(s.boxes * m for s, m in self.entries)
-
-    def shapes(self):
-        """The shapes with repetition, in word order."""
-        return [s for s, m in self.entries for _ in range(m)]
-
-
 def enumerate_multisets(n) -> list:
     """All shape multisets with n boxes total.
 
-    Output order is descending lexicographic on the multiplicity vector
-    indexed by all shapes with at most n boxes in word order, so the single
+    Each is a tuple of (word, multiplicity) pairs with distinct words in word
+    order. Output order is descending lexicographic on the multiplicity vector
+    indexed by all words with at most n boxes in word order, so the single
     row of n boxes comes first and n unshaded single boxes come last.
     """
     if n < 0:
         raise MalformedInputError("n must be nonnegative")
     pool = sorted(
-        (s for k in range(1, n + 1) for s in shapes_with_boxes(k)), key=shape_key
+        (w for k in range(n) for w in itertools.product((1, 2, 3), repeat=k)), key=word_key
     )
     out = []
 
     def go(start, budget, acc):
         if budget == 0:
-            out.append(DiagramMultiset(tuple(acc)))
+            out.append(tuple(acc))
             return
         for idx in range(start, len(pool)):
-            shape = pool[idx]
-            if shape.boxes > budget:
+            word = pool[idx]
+            boxes = len(word) + 1
+            if boxes > budget:
                 continue
-            for mult in range(budget // shape.boxes, 0, -1):
-                acc.append((shape, mult))
-                go(idx + 1, budget - mult * shape.boxes, acc)
+            for mult in range(budget // boxes, 0, -1):
+                acc.append((word, mult))
+                go(idx + 1, budget - mult * boxes, acc)
                 acc.pop()
 
     go(0, n, [])
@@ -247,28 +159,39 @@ def _sorted_nations(nations):
     return tuple(sorted(nations, key=lambda nat: min(nat.vertices)))
 
 
-def shape_of_nation(nation) -> Shape:
-    """County sizes in county order; rows shaded iff tagged unlike the first county."""
+def word_of_nation(nation):
+    """The word of a nation's shape: one row per county in county order, shaded
+    iff the county is tagged unlike the first."""
     first = nation.counties[0].part
-    return Shape(tuple(Row(len(c.vertices), c.part != first) for c in nation.counties))
+    word = []
+    for c in nation.counties:
+        word.append(2 if c.part == first else 3)
+        word.extend((1,) * (len(c.vertices) - 1))
+    return tuple(word[1:])
+
+
+_OPENED_PART = {2: "first", 3: "second"}
 
 
 def book_order(multiset) -> Configuration:
     """Canonical configuration of a shape multiset.
 
-    Nations follow the shapes in word order; vertices are numbered 1..n along
-    the rows, shape by shape; rows become counties in order; shaded rows get
-    the "second" part tag.
+    Nations follow the words in word order; vertices are numbered 1..n along
+    each word, word by word. Letter 1 adds the next vertex to the current
+    county, 2 opens a "first" county and 3 opens a "second" one.
     """
     nations = []
     label = 1
-    for shape in multiset.shapes():
-        counties = []
-        for row in shape.rows:
-            vs = tuple(range(label, label + row.length))
-            label += row.length
-            counties.append(County(vs, "second" if row.shaded else "first"))
-        nations.append(Nation(tuple(counties)))
+    for word, mult in multiset:
+        for _ in range(mult):
+            counties = []
+            for letter in (2, *word):  # the first box opens a "first" county
+                if letter == 1:
+                    counties[-1][0].append(label)
+                else:
+                    counties.append(([label], _OPENED_PART[letter]))
+                label += 1
+            nations.append(Nation(tuple(County(tuple(vs), part) for vs, part in counties)))
     return Configuration(label - 1, tuple(nations))
 
 
@@ -315,7 +238,7 @@ def canonicalize(config):
     configuration canonicalize identically.
     """
     nations = [_normalize_tags(nat) for nat in config.nations]
-    nations.sort(key=lambda nat: (shape_key(shape_of_nation(nat)), min(nat.vertices)))
+    nations.sort(key=lambda nat: (word_key(word_of_nation(nat)), min(nat.vertices)))
     images = [0] * config.n
     label = 1
     out_nations = []

@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .classify import EdgeLabelH, EdgeLabelI, _triple_key, coarsen, g3_orbits
+from .classify import _H_BLOCK, EdgeLabelH, EdgeLabelI, _triple_key, coarsen, g3_orbits
 from .errors import MalformedInputError
 from .ybe import PAIR_POLYS, PAIR_REINDEX, TRIPLE_POLYS, TRIPLE_REINDEX
 
@@ -88,15 +88,10 @@ _pair_ok = _compile(PAIR_REINDEX, PAIR_POLYS)
 def _block_candidates(coarse, s, t, p):
     """Gauged blocks with the given pattern passing both pair relations."""
     nz = range(1, p)
-    if coarse is EdgeLabelH.ZERO:
-        pool = [(a, 0, 0, d) for a in nz for d in nz]
-    elif coarse is EdgeLabelH.SLASH:
-        pool = [(0, b, 1, 0) for b in nz]
-    elif coarse is EdgeLabelH.PLUS:
-        pool = [(a, b, 1, 0) for a in nz for b in nz]
-    else:
-        pool = [(0, b, 1, d) for b in nz for d in nz]
-    return tuple(blk for blk in pool if _pair_ok((s, t) + blk, p))
+    ranges = [nz if mark else (0,) for mark in _H_BLOCK[coarse]]
+    if ranges[2] is nz:
+        ranges[2] = (1,)  # the lower-1 gauge c = 1
+    return tuple(blk for blk in product(*ranges) if _pair_ok((s, t) + blk, p))
 
 
 # Signed fine labels pin whether the edge's two vertex scalars are equal.

@@ -83,13 +83,12 @@ TRIPLE_POLYS = (
     ),
 )
 
-# Pair layout (a1, a2, a, b, c, d); the relations a 2-letter solution obeys.
-PAIR_POLYS = (
-    ((1, (2, 0, 0)), (-1, (2, 2, 0)), (-1, (2, 3, 4))),
-    ((1, (2, 1, 1)), (-1, (2, 2, 1)), (-1, (2, 3, 4))),
-    ((1, (2, 4, 5)),),
-    ((1, (2, 3, 5)),),
-    ((1, (2, 5, 2)), (-1, (2, 5, 5))),
+# Pair layout (a1, a2, a, b, c, d); the relations a 2-letter solution obeys
+# are the first five, which touch only a1, a2 and the 12 block.
+_PAIR_INDEX = {_A1: 0, _A2: 1, _A12: 2, _B12: 3, _C12: 4, _D12: 5}
+PAIR_POLYS = tuple(
+    tuple((coeff, tuple(_PAIR_INDEX[i] for i in mono)) for coeff, mono in poly)
+    for poly in TRIPLE_POLYS[:5]
 )
 
 

@@ -1,5 +1,5 @@
-"""Helpers that only the tests use: exhaustive enumerators, JSON forms and
-symmetry transports that the library itself never needs.
+"""Helpers that only the tests use: exhaustive enumerators and symmetry
+transports that the library itself never needs.
 """
 
 import itertools
@@ -8,15 +8,12 @@ from match_ybo.diagrams import (
     PART_TAGS,
     Configuration,
     County,
-    DiagramMultiset,
     Nation,
-    Row,
-    Shape,
     _sorted_nations,
     configuration_perm,
     flip_configuration,
-    shape_key,
-    shape_of_nation,
+    word_key,
+    word_of_nation,
 )
 from match_ybo.errors import MalformedInputError, OrbitTooLargeError
 from match_ybo.oracle import _EDGE_OFFSETS, fibre_scan
@@ -67,10 +64,10 @@ def enumerate_configurations(n) -> list:
     return configs
 
 
-def multiset_of_configuration(config) -> DiagramMultiset:
-    shapes = sorted((shape_of_nation(nat) for nat in config.nations), key=shape_key)
-    entries = [(s, len(list(g))) for s, g in itertools.groupby(shapes)]
-    return DiagramMultiset(tuple(entries))
+def multiset_of_configuration(config):
+    """The (word, multiplicity) pairs of config's nations, in word order."""
+    words = sorted((word_of_nation(nat) for nat in config.nations), key=word_key)
+    return tuple((w, len(list(g))) for w, g in itertools.groupby(words))
 
 
 def nation_of(config, v) -> int:
@@ -80,18 +77,6 @@ def nation_of(config, v) -> int:
             if v in c.vertices:
                 return i
     raise MalformedInputError(f"no such vertex {v}")
-
-
-def shape_to_json(shape):
-    return {"rows": [{"len": r.length, "shaded": r.shaded} for r in shape.rows]}
-
-
-def shape_from_json(data) -> Shape:
-    try:
-        rows = tuple(Row(int(r["len"]), bool(r["shaded"])) for r in data["rows"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInputError(f"bad shape JSON: {exc}") from exc
-    return Shape(rows)
 
 
 # -- recipe

@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import match_ybo
 from match_ybo.cli import main
 from match_ybo.diagrams import configuration_to_json, enumerate_transversal
 from match_ybo.matchcat import matrix_to_json
@@ -54,6 +60,20 @@ def test_enumerate_text(capsys):
     assert len(lines) == 14
     assert lines[-1] == "T_3 = 13"
     assert lines[0].startswith("1: ")
+
+
+# sha256 of `enumerate --n 6` stdout; fixes the word order of the transversal.
+ENUMERATE_6_SHA256 = {
+    "text": "9a09ab56fca7eac213993e9bdc3316efb0d83e11ef8831e6dec4eff8a0ca5c97",
+    "json": "c0521ac2c3f8654a32eb71e35ab79401d5577da407167a02964e32965887dff9",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(ENUMERATE_6_SHA256))
+def test_enumerate_bytes_are_pinned(capsys, fmt):
+    rc, out = run(capsys, "enumerate", "--n", "6", "--format", fmt)
+    assert rc == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == ENUMERATE_6_SHA256[fmt]
 
 
 def test_build_from_config_is_seeded(capsys, tmp_path, monkeypatch):
@@ -149,6 +169,23 @@ def test_non_ascii_input_exits_2(capsys, tmp_path):
     rc, out = run(capsys, "verify", "--matrix", str(path))
     assert rc == 2
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("command", ["verify --matrix", "build --germ"])
+def test_deeply_nested_input_exits_2_without_traceback(tmp_path, command):
+    # json.load recurses once per bracket and would raise RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="ascii")
+    src = str(Path(match_ybo.__file__).parent.parent)
+    path_entries = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "match_ybo.cli", *command.split(), str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "error" in json.loads(proc.stdout)
+    assert "Traceback" not in proc.stderr
 
 
 def test_boolean_scalar_exits_2(capsys, tmp_path):

@@ -7,8 +7,6 @@ from match_ybo.diagrams import (
     County,
     Nation,
     Permutation,
-    Row,
-    Shape,
     book_order,
     canonical_structure_key,
     canonicalize,
@@ -20,11 +18,8 @@ from match_ybo.diagrams import (
     euler_count,
     flip_configuration,
     orbit,
-    shape_key,
-    shape_of_word,
-    shapes_with_boxes,
     word_key,
-    word_of_shape,
+    word_of_nation,
 )
 from match_ybo.errors import MalformedInputError, OrbitTooLargeError
 
@@ -32,44 +27,45 @@ from helpers import (
     enumerate_configurations,
     multiset_of_configuration,
     nation_of,
-    shape_from_json,
-    shape_to_json,
 )
 
 TRANSVERSAL_COUNTS = {1: 1, 2: 4, 3: 13, 4: 46, 5: 154}
 CONFIG_COUNTS = {2: 6, 3: 53, 4: 619}
 
 
-def test_shape_word_bijection():
-    s = shape_of_word((1, 2, 1, 3, 1, 1))
-    assert s.rows == (Row(2, False), Row(2, False), Row(3, True))
-    assert word_of_shape(s) == (1, 2, 1, 3, 1, 1)
+def test_book_order_reads_the_word():
+    word = (1, 2, 1, 3, 1, 1)
+    config = book_order(((word, 1),))
+    assert config == Configuration(7, (Nation((
+        County((1, 2), "first"), County((3, 4), "first"), County((5, 6, 7), "second"),
+    )),))
+    assert word_of_nation(config.nations[0]) == word
 
 
 def test_all_words_round_trip():
-    for boxes in range(1, 7):
-        for s in shapes_with_boxes(boxes):
-            assert shape_of_word(word_of_shape(s)) == s
+    for length in range(6):
+        for word in itertools.product((1, 2, 3), repeat=length):
+            (nation,) = book_order(((word, 1),)).nations
+            assert word_of_nation(nation) == word
 
 
 def test_word_order():
     # longer words come first, ties break lexicographically
     assert word_key((1, 1)) < word_key((2,))
     assert word_key((1, 2)) < word_key((1, 3))
-    shapes = shapes_with_boxes(3)
-    assert shapes[0] == Shape((Row(3, False),))
-    assert shapes[-1] == Shape((Row(1, False), Row(1, True), Row(1, True)))
+    multisets = enumerate_multisets(3)
+    assert multisets[0] == (((1, 1), 1),)
+    assert multisets[-1] == (((), 3),)
+    one_nation = [m[0][0] for m in multisets if len(m) == 1 and m[0][1] == 1]
+    assert one_nation[0] == (1, 1)
+    assert one_nation[-1] == (3, 3)
 
 
 def test_shapes_with_boxes_counts():
-    # words of length n-1 over three letters
+    # a one-nation multiset is a word of length n-1 over three letters
     for n in range(1, 7):
-        assert len(shapes_with_boxes(n)) == 3 ** (n - 1)
-
-
-def test_shape_rejects_shaded_first_row():
-    with pytest.raises(MalformedInputError):
-        Shape((Row(1, True),))
+        one_nation = [m for m in enumerate_multisets(n) if len(m) == 1 and m[0][1] == 1]
+        assert len(one_nation) == 3 ** (n - 1)
 
 
 def test_euler_count_matches_enumeration():
@@ -183,11 +179,6 @@ def test_orbit_rejects_large_n():
     c = Configuration(9, (Nation((County(tuple(range(1, 10)), "first"),)),))
     with pytest.raises(OrbitTooLargeError):
         orbit(c)
-
-
-def test_shape_json_round_trip():
-    for s in shapes_with_boxes(4):
-        assert shape_from_json(shape_to_json(s)) == s
 
 
 def test_configuration_json_round_trip():

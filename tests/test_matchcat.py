@@ -5,7 +5,6 @@ import pytest
 from match_ybo.diagrams import Permutation
 from match_ybo.errors import MalformedInputError
 from match_ybo.matchcat import (
-    EdgeBlock,
     MatchMatrix2,
     SparseOp,
     act_flip,

@@ -12,7 +12,7 @@ from match_ybo.diagrams import (
     flip_configuration,
 )
 from match_ybo.errors import IrrationalSpectrumError
-from match_ybo.recipe import Germ, ParamPoint, generic_point, rec
+from match_ybo.recipe import Germ, ParamPoint, generic_point
 from match_ybo.signature import (
     degeneracy_partition,
     signature_check,
