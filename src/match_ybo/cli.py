@@ -22,11 +22,8 @@ from .diagrams import (
 )
 from .errors import MatchYboError, MalformedInputError, NotASolutionError
 from .matchcat import matrix_from_json, matrix_to_json
-from .oracle import fibre_report, fibre_summary
 from .recipe import Germ, generic_point, germ_from_json, germ_to_json, rec
 from .scalars import format_scalar
-from .selftest import run_selftest
-from .signature import signature_check, signature_formula, signature_notation
 from .ybe import constraint_residuals, is_solution_by_subsets, ybe_residual_direct
 
 
@@ -163,6 +160,8 @@ def cmd_classify(args):
 
 
 def cmd_signature(args):
+    from .signature import signature_check, signature_formula, signature_notation
+
     if args.germ:
         germ = germ_from_json(_load(args.germ))
         rep = signature_check(germ)
@@ -193,6 +192,8 @@ def cmd_orbit(args):
 
 
 def cmd_fibre(args):
+    from .oracle import fibre_report, fibre_summary
+
     if args.jobs < 1:
         raise MalformedInputError(f"--jobs must be at least 1, got {args.jobs}")
     if args.type:
@@ -203,6 +204,8 @@ def cmd_fibre(args):
 
 
 def cmd_selftest(args):
+    from .selftest import run_selftest
+
     results = run_selftest(args.level)
     for r in results:
         status = "PASS" if r.ok else "FAIL"
@@ -210,8 +213,16 @@ def cmd_selftest(args):
     return 0 if all(r.ok for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is malformed input: a JSON error on stdout and exit 2.
+    Subparsers are built from the same class."""
+
+    def error(self, message):
+        raise MalformedInputError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="match-ybo",
         description="charge-conserving Yang-Baxter operators from matching data",
     )
@@ -264,8 +275,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NotASolutionError as exc:
         emit({"error": str(exc)})

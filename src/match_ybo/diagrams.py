@@ -17,7 +17,6 @@ rows, row order giving the county order, shading giving the part tags.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .errors import MalformedInputError, OrbitTooLargeError
@@ -79,16 +78,27 @@ def euler_count(n) -> int:
     return b[n]
 
 
-@dataclass(frozen=True)
 class Permutation:
     """Bijection on {1..n}; images[i-1] is the image of i."""
 
-    images: tuple
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise MalformedInputError(f"not a permutation of 1..{n}: {self.images}")
+    def __init__(self, images):
+        self.images = images
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise MalformedInputError(f"not a permutation of 1..{n}: {images}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self):
+        return hash(self.images)
+
+    def __repr__(self):
+        return f"Permutation(images={self.images!r})"
 
     @property
     def n(self):
@@ -118,8 +128,7 @@ class County(NamedTuple):
     part: str  # "first" | "second"
 
 
-@dataclass(frozen=True)
-class Nation:
+class Nation(NamedTuple):
     counties: tuple  # in county order
 
     @property
@@ -131,14 +140,14 @@ class Nation:
         return sum(len(c.vertices) for c in self.counties)
 
 
-@dataclass(frozen=True)
 class Configuration:
-    n: int
-    nations: tuple
+    __slots__ = ("n", "nations")
 
-    def __post_init__(self):
+    def __init__(self, n, nations):
+        self.n = n
+        self.nations = nations
         seen = []
-        for nat in self.nations:
+        for nat in nations:
             if not nat.counties:
                 raise MalformedInputError("nation with no counties")
             parts = set()
@@ -151,8 +160,19 @@ class Configuration:
                 seen.extend(c.vertices)
             if len(parts) > 2:
                 raise MalformedInputError("more than two parts in a nation")
-        if sorted(seen) != list(range(1, self.n + 1)):
-            raise MalformedInputError(f"counties must partition 1..{self.n}")
+        if sorted(seen) != list(range(1, n + 1)):
+            raise MalformedInputError(f"counties must partition 1..{n}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.nations) == (other.n, other.nations)
+
+    def __hash__(self):
+        return hash((self.n, self.nations))
+
+    def __repr__(self):
+        return f"Configuration(n={self.n!r}, nations={self.nations!r})"
 
 
 def _sorted_nations(nations):

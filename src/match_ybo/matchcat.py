@@ -20,7 +20,6 @@ letter positions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -40,7 +39,6 @@ def edge_pairs(n):
     return [(i, j) for j in range(2, n + 1) for i in range(1, j)]
 
 
-@dataclass(frozen=True)
 class MatchMatrix2:
     """Level-(2,2) charge-conserving operator in alpha form.
 
@@ -48,15 +46,24 @@ class MatchMatrix2:
     i<j to its EdgeBlock. Treat instances as immutable.
     """
 
-    n: int
-    vertices: tuple
-    edges: dict = field(compare=True)
+    __slots__ = ("n", "vertices", "edges")
 
-    def __post_init__(self):
-        if len(self.vertices) != self.n:
+    def __init__(self, n, vertices, edges):
+        self.n = n
+        self.vertices = vertices
+        self.edges = edges
+        if len(vertices) != n:
             raise MalformedInputError("vertex count mismatch")
-        if set(self.edges) != set(edge_pairs(self.n)):
+        if set(edges) != set(edge_pairs(n)):
             raise MalformedInputError("edge set must be exactly {(i,j): i<j}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.vertices, self.edges) == (other.n, other.vertices, other.edges)
+
+    def __repr__(self):
+        return f"MatchMatrix2(n={self.n!r}, vertices={self.vertices!r}, edges={self.edges!r})"
 
     def vertex(self, i) -> Fraction:
         return self.vertices[i - 1]
@@ -148,18 +155,26 @@ def invertible(m) -> bool:
     )
 
 
-@dataclass(frozen=True)
 class SparseOp:
     """Sparse operator at a fixed level: entries keyed by (row word, col word)."""
 
-    n: int
-    level: int
-    entries: dict = field(compare=True)
+    __slots__ = ("n", "level", "entries")
 
-    def __post_init__(self):
-        for row, col in self.entries:
-            if len(row) != self.level or len(col) != self.level:
+    def __init__(self, n, level, entries):
+        self.n = n
+        self.level = level
+        self.entries = entries
+        for row, col in entries:
+            if len(row) != level or len(col) != level:
                 raise MalformedInputError(f"word length mismatch at {(row, col)}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.level, self.entries) == (other.n, other.level, other.entries)
+
+    def __repr__(self):
+        return f"SparseOp(n={self.n!r}, level={self.level!r}, entries={self.entries!r})"
 
     @property
     def is_zero(self):

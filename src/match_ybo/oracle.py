@@ -219,6 +219,7 @@ def fibre_report(prime, types=None, jobs=1):
     _check_prime(prime)
     if types is None:
         types = default_types()
+    jobs = min(jobs, len(types))  # a pool forks all its workers up front
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -21,23 +21,22 @@ root.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diagrams import Configuration, configuration_from_json, configuration_to_json
+from .diagrams import configuration_from_json, configuration_to_json
 from .errors import MalformedInputError
 from .matchcat import EdgeBlock, MatchMatrix2, edge_pairs
 from .scalars import format_scalar, parse_int, parse_scalar
 
 
-@dataclass(frozen=True)
 class ParamPoint:
-    mu: dict = field(default_factory=dict)
-    alpha: dict = field(default_factory=dict)
-    beta: dict = field(default_factory=dict)
-    mu_sq: dict = field(default_factory=dict)
+    __slots__ = ("mu", "alpha", "beta", "mu_sq")
 
-    def __post_init__(self):
+    def __init__(self, mu=None, alpha=None, beta=None, mu_sq=None):
+        self.mu = {} if mu is None else mu
+        self.alpha = {} if alpha is None else alpha
+        self.beta = {} if beta is None else beta
+        self.mu_sq = {} if mu_sq is None else mu_sq
         for name, table in (("mu", self.mu), ("alpha", self.alpha), ("beta", self.beta), ("mu_sq", self.mu_sq)):
             for key, v in table.items():
                 if v == 0:
@@ -49,25 +48,44 @@ class ParamPoint:
             if a is not None and a + b == 0:
                 raise MalformedInputError(f"alpha[{i}] + beta[{i}] must be nonzero")
 
+    def _fields(self):
+        return (self.mu, self.alpha, self.beta, self.mu_sq)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "ParamPoint(mu={!r}, alpha={!r}, beta={!r}, mu_sq={!r})".format(*self._fields())
+
+
 class Germ:
-    config: Configuration
-    params: ParamPoint
+    __slots__ = ("config", "params")
 
-    def __post_init__(self):
-        m = len(self.config.nations)
+    def __init__(self, config, params):
+        self.config = config
+        self.params = params
+        m = len(config.nations)
         pairs = {(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)}
-        if set(self.params.alpha) != set(range(1, m + 1)):
+        if set(params.alpha) != set(range(1, m + 1)):
             raise MalformedInputError("alpha must cover every nation")
-        multi = {i for i, nat in enumerate(self.config.nations, start=1) if len(nat.counties) >= 2}
-        if set(self.params.beta) != multi:
+        multi = {i for i, nat in enumerate(config.nations, start=1) if len(nat.counties) >= 2}
+        if set(params.beta) != multi:
             raise MalformedInputError("beta must cover exactly the nations with >= 2 counties")
-        if set(self.params.mu) | set(self.params.mu_sq) != pairs:
+        if set(params.mu) | set(params.mu_sq) != pairs:
             raise MalformedInputError("mu must cover every nation pair")
-        for i, nat in enumerate(self.config.nations, start=1):
-            if any(c.part == "second" for c in nat.counties) and i not in self.params.beta:
+        for i, nat in enumerate(config.nations, start=1):
+            if any(c.part == "second" for c in nat.counties) and i not in params.beta:
                 raise MalformedInputError(f"nation {i} uses a second part but has no beta")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.config, self.params) == (other.config, other.params)
+
+    def __repr__(self):
+        return f"Germ(config={self.config!r}, params={self.params!r})"
 
 
 def generic_point(config, seed=0) -> ParamPoint:

@@ -28,9 +28,9 @@ matrix whose entries are their own indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .diagrams import Permutation
 from .matchcat import (
@@ -50,8 +50,7 @@ from .matchcat import (
 MAX_WITNESSES = 16
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     zero: bool
     witnesses: tuple
     source: str

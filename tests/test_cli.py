@@ -308,6 +308,27 @@ def test_fibre_rejects_jobs_below_one(capsys, jobs):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("argv", [
+    "fibre --type -,0,0",  # argparse reads "-,0,0" as an option, so --type has no value
+    "frobnicate",
+    "verify",
+    "fibre --prime x",
+])
+def test_usage_errors_are_json_errors(capsys, argv):
+    rc = main(argv.split())
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert set(json.loads(captured.out)) == {"error"}
+    assert captured.err == ""
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fibre", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: match-ybo fibre")
+
+
 def test_signature_config(capsys, tmp_path):
     config = enumerate_transversal(3)[1]
     path = write(tmp_path, "config.json", configuration_to_json(config))

@@ -1,10 +1,18 @@
-"""The library surface: the modules, and nothing the library itself never uses."""
+"""The library surface: the modules, nothing the library itself never uses,
+and nothing a CLI process loads before a command needs it."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
 import match_ybo
+from match_ybo.diagrams import enumerate_transversal
+from match_ybo.matchcat import matrix_to_json
+from match_ybo.recipe import Germ, generic_point, rec
 
 SRC = Path(match_ybo.__file__).parent
 TESTS = Path(__file__).parent
@@ -71,3 +79,48 @@ def test_every_import_is_read():
                     if name not in read and (path, name) not in exempt:
                         unread.append(f"{path.name}:{name}")
     assert unread == []
+
+
+# Left unloaded by `import match_ybo.cli`: the library never needs the first
+# two, and only the signature, fibre and selftest commands need the others.
+HEAVY = ("dataclasses", "inspect", "match_ybo.selftest", "match_ybo.oracle", "match_ybo.signature")
+
+# In one fresh interpreter: which of the modules named in argv[1] are loaded
+# after importing the CLI, then after each command (a JSON list of argv lists).
+LOADED_AFTER_EACH_STEP = """
+import contextlib, io, json, sys
+watched = json.loads(sys.argv[1])
+loaded = lambda: [m for m in watched if m in sys.modules]
+import match_ybo.cli
+steps = [["import", loaded()]]
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = match_ybo.cli.main(argv)
+    steps.append([argv[0], rc, loaded()])
+print(json.dumps(steps))
+"""
+
+
+def test_cli_imports_only_what_its_command_runs(tmp_path):
+    config = enumerate_transversal(4)[3]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix_to_json(rec(Germ(config, generic_point(config))))))
+    commands = [["classify", "--matrix", str(path)], ["verify", "--matrix", str(path)]]
+    path_entries = [str(SRC.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER_EACH_STEP, json.dumps(HEAVY), json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert json.loads(proc.stdout) == [["import", []], ["classify", 0, []], ["verify", 0, []]]
+
+
+def test_no_dataclasses_in_the_library():
+    imported = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[0])
+    assert "dataclasses" not in imported
