@@ -20,7 +20,7 @@ from .diagrams import (
     enumerate_transversal,
     orbit,
 )
-from .errors import MatchYboError, MalformedInputError, NotASolutionError
+from .errors import MatchYboError, MalformedInputError
 from .matchcat import matrix_from_json, matrix_to_json
 from .recipe import Germ, generic_point, germ_from_json, germ_to_json, rec
 from .scalars import format_scalar
@@ -95,10 +95,15 @@ def cmd_enumerate(args):
     return 0
 
 
-def _load_germ(path, seed):
+def _load_germ_object(path):
     data = _load(path)
     if not isinstance(data, dict):
         raise MalformedInputError(f"bad germ JSON: expected an object, got {type(data).__name__}")
+    return data
+
+
+def _load_germ(path, seed):
+    data = _load_germ_object(path)
     if "alpha" in data:
         return germ_from_json(data)
     config = configuration_from_json(data)
@@ -163,7 +168,7 @@ def cmd_signature(args):
     from .signature import signature_check, signature_formula, signature_notation
 
     if args.germ:
-        germ = germ_from_json(_load(args.germ))
+        germ = germ_from_json(_load_germ_object(args.germ))
         rep = signature_check(germ)
         emit({
             "formula": list(rep.formula),
@@ -278,18 +283,12 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except NotASolutionError as exc:
-        emit({"error": str(exc)})
-        return 1
-    except (MalformedInputError, json.JSONDecodeError) as exc:
+    except (MalformedInputError, json.JSONDecodeError, OSError) as exc:
         emit({"error": str(exc)})
         return 2
     except MatchYboError as exc:
         emit({"error": str(exc)})
         return 1
-    except OSError as exc:
-        emit({"error": str(exc)})
-        return 2
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ rows, row order giving the county order, shading giving the part tags.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from typing import Iterator, NamedTuple
 
 from .errors import MalformedInputError, OrbitTooLargeError
@@ -78,27 +79,15 @@ def euler_count(n) -> int:
     return b[n]
 
 
-class Permutation:
+class Permutation(namedtuple("Permutation", "images")):
     """Bijection on {1..n}; images[i-1] is the image of i."""
 
-    __slots__ = ("images",)
+    __slots__ = ()
 
     def __init__(self, images):
-        self.images = images
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise MalformedInputError(f"not a permutation of 1..{n}: {images}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"Permutation(images={self.images!r})"
 
     @property
     def n(self):
@@ -112,10 +101,6 @@ class Permutation:
         for i, j in enumerate(self.images, start=1):
             inv[j - 1] = i
         return Permutation(tuple(inv))
-
-    def __mul__(self, other):
-        """Composition: (self * other)(i) = self(other(i))."""
-        return Permutation(tuple(self(other(i)) for i in range(1, self.n + 1)))
 
     @staticmethod
     def all(n) -> Iterator:
@@ -140,12 +125,10 @@ class Nation(NamedTuple):
         return sum(len(c.vertices) for c in self.counties)
 
 
-class Configuration:
-    __slots__ = ("n", "nations")
+class Configuration(namedtuple("Configuration", "n nations")):
+    __slots__ = ()
 
     def __init__(self, n, nations):
-        self.n = n
-        self.nations = nations
         seen = []
         for nat in nations:
             if not nat.counties:
@@ -162,17 +145,6 @@ class Configuration:
                 raise MalformedInputError("more than two parts in a nation")
         if sorted(seen) != list(range(1, n + 1)):
             raise MalformedInputError(f"counties must partition 1..{n}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.nations) == (other.n, other.nations)
-
-    def __hash__(self):
-        return hash((self.n, self.nations))
-
-    def __repr__(self):
-        return f"Configuration(n={self.n!r}, nations={self.nations!r})"
 
 
 def _sorted_nations(nations):

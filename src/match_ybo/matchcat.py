@@ -20,6 +20,7 @@ letter positions.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -39,31 +40,20 @@ def edge_pairs(n):
     return [(i, j) for j in range(2, n + 1) for i in range(1, j)]
 
 
-class MatchMatrix2:
+class MatchMatrix2(namedtuple("MatchMatrix2", "n vertices edges")):
     """Level-(2,2) charge-conserving operator in alpha form.
 
     vertices[i-1] is the scalar at vertex i; edges maps each pair (i,j) with
-    i<j to its EdgeBlock. Treat instances as immutable.
+    i<j to its EdgeBlock.
     """
 
-    __slots__ = ("n", "vertices", "edges")
+    __slots__ = ()
 
     def __init__(self, n, vertices, edges):
-        self.n = n
-        self.vertices = vertices
-        self.edges = edges
         if len(vertices) != n:
             raise MalformedInputError("vertex count mismatch")
         if set(edges) != set(edge_pairs(n)):
             raise MalformedInputError("edge set must be exactly {(i,j): i<j}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.vertices, self.edges) == (other.n, other.vertices, other.edges)
-
-    def __repr__(self):
-        return f"MatchMatrix2(n={self.n!r}, vertices={self.vertices!r}, edges={self.edges!r})"
 
     def vertex(self, i) -> Fraction:
         return self.vertices[i - 1]
@@ -155,26 +145,15 @@ def invertible(m) -> bool:
     )
 
 
-class SparseOp:
+class SparseOp(namedtuple("SparseOp", "n level entries")):
     """Sparse operator at a fixed level: entries keyed by (row word, col word)."""
 
-    __slots__ = ("n", "level", "entries")
+    __slots__ = ()
 
     def __init__(self, n, level, entries):
-        self.n = n
-        self.level = level
-        self.entries = entries
         for row, col in entries:
             if len(row) != level or len(col) != level:
                 raise MalformedInputError(f"word length mismatch at {(row, col)}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.level, self.entries) == (other.n, other.level, other.entries)
-
-    def __repr__(self):
-        return f"SparseOp(n={self.n!r}, level={self.level!r}, entries={self.entries!r})"
 
     @property
     def is_zero(self):

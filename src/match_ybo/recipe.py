@@ -21,6 +21,7 @@ root.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 from .diagrams import configuration_from_json, configuration_to_json
@@ -29,15 +30,18 @@ from .matchcat import EdgeBlock, MatchMatrix2, edge_pairs
 from .scalars import format_scalar, parse_int, parse_scalar
 
 
-class ParamPoint:
-    __slots__ = ("mu", "alpha", "beta", "mu_sq")
+class ParamPoint(namedtuple("ParamPoint", "mu alpha beta mu_sq")):
+    __slots__ = ()
 
-    def __init__(self, mu=None, alpha=None, beta=None, mu_sq=None):
-        self.mu = {} if mu is None else mu
-        self.alpha = {} if alpha is None else alpha
-        self.beta = {} if beta is None else beta
-        self.mu_sq = {} if mu_sq is None else mu_sq
-        for name, table in (("mu", self.mu), ("alpha", self.alpha), ("beta", self.beta), ("mu_sq", self.mu_sq)):
+    def __new__(cls, mu=None, alpha=None, beta=None, mu_sq=None):
+        self = super().__new__(
+            cls,
+            {} if mu is None else mu,
+            {} if alpha is None else alpha,
+            {} if beta is None else beta,
+            {} if mu_sq is None else mu_sq,
+        )
+        for name, table in zip(self._fields, self):
             for key, v in table.items():
                 if v == 0:
                     raise MalformedInputError(f"{name}[{key}] must be nonzero")
@@ -47,25 +51,13 @@ class ParamPoint:
             a = self.alpha.get(i)
             if a is not None and a + b == 0:
                 raise MalformedInputError(f"alpha[{i}] + beta[{i}] must be nonzero")
-
-    def _fields(self):
-        return (self.mu, self.alpha, self.beta, self.mu_sq)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        return "ParamPoint(mu={!r}, alpha={!r}, beta={!r}, mu_sq={!r})".format(*self._fields())
+        return self
 
 
-class Germ:
-    __slots__ = ("config", "params")
+class Germ(namedtuple("Germ", "config params")):
+    __slots__ = ()
 
     def __init__(self, config, params):
-        self.config = config
-        self.params = params
         m = len(config.nations)
         pairs = {(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)}
         if set(params.alpha) != set(range(1, m + 1)):
@@ -78,14 +70,6 @@ class Germ:
         for i, nat in enumerate(config.nations, start=1):
             if any(c.part == "second" for c in nat.counties) and i not in params.beta:
                 raise MalformedInputError(f"nation {i} uses a second part but has no beta")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.config, self.params) == (other.config, other.params)
-
-    def __repr__(self):
-        return f"Germ(config={self.config!r}, params={self.params!r})"
 
 
 def generic_point(config, seed=0) -> ParamPoint:

@@ -3,12 +3,16 @@ transports that the library itself never needs.
 """
 
 import itertools
+from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from match_ybo.diagrams import (
     PART_TAGS,
     Configuration,
     County,
     Nation,
+    Permutation,
     _sorted_nations,
     configuration_perm,
     flip_configuration,
@@ -70,6 +74,11 @@ def multiset_of_configuration(config):
     return tuple((w, len(list(g))) for w, g in itertools.groupby(words))
 
 
+def compose_perms(w, v) -> Permutation:
+    """The permutation i -> w(v(i))."""
+    return Permutation(tuple(w(v(i)) for i in range(1, w.n + 1)))
+
+
 def nation_of(config, v) -> int:
     """1-based index of the nation containing vertex v."""
     for i, nat in enumerate(config.nations, start=1):
@@ -112,6 +121,31 @@ def permute_germ(germ, perm) -> Germ:
 def flip_germ(germ) -> Germ:
     """Reverse every nation's county order; parameters ride along."""
     return Germ(flip_configuration(germ.config), germ.params)
+
+
+# Nonzero scalars, negative and fractional ones included. So few values make
+# alpha = beta, equal mu and equal slash products common, and the squares
+# among them make some mu_sq entries rational squares.
+NONZERO = st.sampled_from(
+    [Fraction(v) for v in ("1", "-1", "2", "-2", "3", "4", "1/4", "-1/2", "3/2", "-5/3")]
+)
+
+
+def draw_point(data, config):
+    """Any valid parameter point, mu_sq entries included."""
+    m = len(config.nations)
+    alpha = {i: data.draw(NONZERO) for i in range(1, m + 1)}
+    beta = {}
+    for i, nat in enumerate(config.nations, start=1):
+        if len(nat.counties) >= 2:
+            a = alpha[i]
+            beta[i] = data.draw(st.one_of(st.just(a), NONZERO).filter(lambda b: a + b != 0))
+    mu, mu_sq = {}, {}
+    for j in range(2, m + 1):
+        for i in range(1, j):
+            table = mu_sq if data.draw(st.booleans()) else mu
+            table[(i, j)] = data.draw(NONZERO)
+    return ParamPoint(mu=mu, alpha=alpha, beta=beta, mu_sq=mu_sq)
 
 
 # -- ybe

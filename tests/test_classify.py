@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from match_ybo.classify import (
     EdgeLabelH,
@@ -37,7 +38,7 @@ from match_ybo.matchcat import (
 from match_ybo.recipe import Germ, ParamPoint, generic_point, rec
 from match_ybo.ybe import is_solution
 
-from helpers import permute_germ
+from helpers import NONZERO, draw_point, permute_germ
 from matchcat_oracles import matrix
 
 
@@ -202,6 +203,25 @@ def test_classify_commutes_with_relabelling():
             got = classify(act_perm(m, w))
             assert got.config == configuration_perm(config, w)
             assert x_equivalent(rec(got), act_perm(m, w))
+
+
+TRANSVERSAL_UP_TO_5 = [c for n in range(1, 6) for c in enumerate_transversal(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_classify_is_a_section_of_rec(data):
+    # any valid point, relabelled and X-rescaled edge by edge: classify
+    # accepts the matrix, and rec of the germ it returns gives it back
+    config = data.draw(st.sampled_from(TRANSVERSAL_UP_TO_5))
+    w = Permutation(tuple(data.draw(st.permutations(range(1, config.n + 1)))))
+    m = act_perm(rec(Germ(config, draw_point(data, config))), w)
+    edges = {}
+    for pair, blk in m.edges.items():
+        x = data.draw(NONZERO)
+        edges[pair] = blk._replace(b=blk.b * x, c=blk.c / x)
+    m = MatchMatrix2(m.n, m.vertices, edges)
+    assert x_equivalent(rec(classify(m)), m)
 
 
 def test_classify_recovers_mu_sq():

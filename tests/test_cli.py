@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import match_ybo
 from match_ybo.cli import main
 from match_ybo.diagrams import configuration_to_json, enumerate_transversal
 from match_ybo.matchcat import matrix_to_json
+from match_ybo.oracle import default_types
 from match_ybo.recipe import Germ, generic_point, germ_to_json, rec
 
 from matchcat_oracles import matrix
@@ -201,6 +203,13 @@ def test_build_germ_non_object_exits_2(capsys, tmp_path, data):
     rc, out = run(capsys, "build", "--germ", path)
     assert rc == 2
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("command", ["build", "signature"])
+def test_germ_file_that_is_not_an_object_exits_2(capsys, tmp_path, command):
+    path = write(tmp_path, "germ.json", [1, 2])
+    rc, out = run(capsys, command, "--germ", path)
+    assert (rc, json.loads(out)) == (2, {"error": "bad germ JSON: expected an object, got list"})
 
 
 SWAP_EDGE = {"i": 1, "j": 2, "a": "0", "b": "1", "c": "1", "d": "0"}
@@ -398,3 +407,39 @@ def test_selftest_quick(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 10
     assert all(line.startswith("PASS ") for line in lines)
+
+
+# sha256 of the (exit code, stdout) sequence of the pool below: every T_N
+# configuration with N <= 4 through build, classify and verify (on its
+# matrix and on a one-entry corruption) and signature, orbit --flip for
+# N <= 3, and one fibre per default type at p = 5.
+CLI_POOL_SHA256 = "bda4aed385c776bcc627607c5e55fcb2c992ecc3500dcac8d8b971395274414d"
+
+
+def test_cli_pool_bytes_are_pinned(capsys, tmp_path):
+    digest = hashlib.sha256()
+
+    def call(*argv):
+        rc, out = run(capsys, *argv)
+        digest.update(f"{rc}\n{out}".encode("ascii"))
+        return out
+
+    configs = [c for n in range(1, 5) for c in enumerate_transversal(n)]
+    for k, config in enumerate(configs):
+        cpath = write(tmp_path, f"c{k}.json", configuration_to_json(config))
+        built = call("build", "--germ", cpath)
+        corrupt = json.loads(built)
+        if corrupt["edges"]:
+            corrupt["edges"][0]["b"] = str(Fraction(corrupt["edges"][0]["b"]) + 1)
+        else:
+            corrupt["vertices"][0] = str(Fraction(corrupt["vertices"][0]) + 1)
+        for label, data in (("m", json.loads(built)), ("x", corrupt)):
+            mpath = write(tmp_path, f"{label}{k}.json", data)
+            call("classify", "--matrix", mpath)
+            call("verify", "--method", "all", "--matrix", mpath)
+        call("signature", "--config", cpath)
+        if config.n <= 3:
+            call("orbit", "--flip", "--config", cpath)
+    for ftype in default_types():
+        call("fibre", f"--type={','.join(ftype)}", "--prime", "5")
+    assert digest.hexdigest() == CLI_POOL_SHA256

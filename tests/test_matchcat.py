@@ -23,6 +23,7 @@ from match_ybo.matchcat import (
     x_normalize,
 )
 
+from helpers import compose_perms
 from matchcat_oracles import (
     SingularMatrixError,
     block,
@@ -90,7 +91,7 @@ def test_act_perm_is_an_action():
     m = sample()
     for w in Permutation.all(3):
         for v in Permutation.all(3):
-            assert act_perm(act_perm(m, v), w) == act_perm(m, w * v)
+            assert act_perm(act_perm(m, v), w) == act_perm(m, compose_perms(w, v))
 
 
 def test_act_flip_matches_sparse_conjugation():

@@ -23,7 +23,7 @@ from match_ybo.recipe import (
 )
 from match_ybo.ybe import ybe_residual_direct
 
-from helpers import flip_germ, permute_germ
+from helpers import draw_point, flip_germ, permute_germ
 from matchcat_oracles import block
 
 TWO_COUNTY = Configuration(
@@ -158,31 +158,6 @@ def test_germ_json_rejects_bad_pair_keys():
     data["mu"] = {"x": "3"}
     with pytest.raises(MalformedInputError):
         germ_from_json(data)
-
-
-# Nonzero scalars, negative and fractional ones included. So few values make
-# alpha = beta, equal mu and equal slash products common, and the squares
-# among them make some mu_sq entries rational squares.
-NONZERO = st.sampled_from(
-    [Fraction(v) for v in ("1", "-1", "2", "-2", "3", "4", "1/4", "-1/2", "3/2", "-5/3")]
-)
-
-
-def draw_point(data, config):
-    """Any valid parameter point, mu_sq entries included."""
-    m = len(config.nations)
-    alpha = {i: data.draw(NONZERO) for i in range(1, m + 1)}
-    beta = {}
-    for i, nat in enumerate(config.nations, start=1):
-        if len(nat.counties) >= 2:
-            a = alpha[i]
-            beta[i] = data.draw(st.one_of(st.just(a), NONZERO).filter(lambda b: a + b != 0))
-    mu, mu_sq = {}, {}
-    for j in range(2, m + 1):
-        for i in range(1, j):
-            table = mu_sq if data.draw(st.booleans()) else mu
-            table[(i, j)] = data.draw(NONZERO)
-    return ParamPoint(mu=mu, alpha=alpha, beta=beta, mu_sq=mu_sq)
 
 
 ALL_SMALL_CONFIGS = [c for n in range(1, 5) for c in enumerate_transversal(n)]

@@ -1,5 +1,6 @@
 """Value semantics of the library's record classes: what each constructor
-rejects, equality by value, and which records hash."""
+rejects, equality by value, which records hash, and that none can be
+changed once built."""
 
 from fractions import Fraction
 
@@ -100,3 +101,27 @@ def test_unequal_values_compare_unequal():
     )
     assert Permutation((1, 2)) != (1, 2)
     assert not ResidualReport(False, (), "direct")
+
+
+# name -> its fields, in tuple order
+FIELDS = {
+    "Permutation": "images",
+    "Nation": "counties",
+    "Configuration": "n nations",
+    "MatchMatrix2": "n vertices edges",
+    "SparseOp": "n level entries",
+    "ParamPoint": "mu alpha beta mu_sq",
+    "Germ": "config params",
+    "ResidualReport": "zero witnesses source",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_immutable(name):
+    record = RECORDS[name]()
+    for field in FIELDS[name].split():
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert record._fields == tuple(FIELDS[name].split())

@@ -124,3 +124,17 @@ def test_no_dataclasses_in_the_library():
             elif isinstance(node, ast.ImportFrom) and node.module:
                 imported.add(node.module.split(".")[0])
     assert "dataclasses" not in imported
+
+
+def test_no_class_defines_value_dunders():
+    # records are named tuples: value equality, hash and repr come with them
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                defined += [
+                    f"{path.name}:{cls.name}.{node.name}" for node in cls.body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name in {"__eq__", "__hash__", "__repr__"}
+                ]
+    assert defined == []
