@@ -76,6 +76,9 @@ def _config_text(config):
 
 # T_N grows about 7x per step: N = 10 takes a minute and prints 21 MB.
 ENUMERATE_MAX_N = 10
+# The all-slash fibre alone has (p - 1)^6 vectors: the full report takes
+# about a minute at p = 19, and the next prime, 23, would take over three.
+FIBRE_MAX_PRIME = 19
 
 
 def cmd_enumerate(args):
@@ -103,8 +106,9 @@ def _load_germ_object(path):
 
 
 def _load_germ(path, seed):
+    """A germ file, or a bare configuration (no parameter table) at a generic point."""
     data = _load_germ_object(path)
-    if "alpha" in data:
+    if any(table in data for table in ("alpha", "beta", "mu", "mu_sq")):
         return germ_from_json(data)
     config = configuration_from_json(data)
     return Germ(config, generic_point(config, seed=seed))
@@ -201,6 +205,8 @@ def cmd_fibre(args):
 
     if args.jobs < 1:
         raise MalformedInputError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.prime > FIBRE_MAX_PRIME:
+        raise MalformedInputError(f"--prime must be at most {FIBRE_MAX_PRIME}, got {args.prime}")
     if args.type:
         emit(fibre_summary(args.type, args.prime))
     else:
@@ -268,7 +274,8 @@ def build_parser():
     p = sub.add_parser("fibre", help="finite-field fibre census")
     p.add_argument("--type", default=None, help='e.g. "0,+,+" (omit for the full report); '
                    'a type starting with "-" needs the form --type=-,+,+')
-    p.add_argument("--prime", type=int, default=11)
+    p.add_argument("--prime", type=int, default=11,
+                   help=f"an odd prime, 3..{FIBRE_MAX_PRIME}: the all-slash fibre has (p-1)^6 vectors")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_fibre)
 

@@ -17,8 +17,8 @@ edges 12, 13, 23).
 
 The constraint images split in two.  The pair relations live on one block and
 its two vertex scalars; `_block_candidates` enforces them on each block before
-any vector is built.  `check_vector` then evaluates only the 18 images of the
-three relations that couple all three blocks.
+any vector is built.  `check_vector` then tests only the 18 images of the
+three relations that couple all three blocks, in 12 grouped tests.
 """
 
 from __future__ import annotations
@@ -59,17 +59,36 @@ def _is_prime(p):
 def _compile(reindex, polys):
     """`check(v, p)`: do all images of `polys` under `reindex` vanish mod p?
 
-    Unpacks `v` into locals once; every coefficient must be +1 or -1.
+    p must be prime; `fibre_scan` checks it before the first call.  An image
+    whose monomials all share an entry x is x*Q; over the field F_p the
+    images x*Q, y*Q, ... with one cofactor Q (up to sign) all vanish exactly
+    when Q does or x, y, ... all do.  So `check` tests the images with no
+    shared entry, then each distinct Q once.
+    Unpacks `v` into locals once; a coefficient other than +1 or -1 raises.
     """
+    if any(abs(coeff) != 1 for poly in polys for coeff, _ in poly):
+        raise ValueError("every coefficient must be +1 or -1")
     names = [f"v{i}" for i in range(len(reindex[0]))]
+
+    def terms(monos):
+        return "".join(("+" if c > 0 else "-") + "*".join(names[i] for i in m) for c, m in monos)
+
     lines = ["def check(v, p):", f"    {', '.join(names)} = v"]
+    factors = {}  # cofactor Q -> the shared entries it is multiplied by
     for src in reindex:
         for poly in polys:
-            terms = "".join(
-                ("+" if coeff > 0 else "-") + "*".join(names[src[i]] for i in mono)
-                for coeff, mono in poly
-            )
-            lines.append(f"    if ({terms}) % p: return False")
+            monos = [(coeff, tuple(sorted(src[i] for i in mono))) for coeff, mono in poly]
+            shared = set.intersection(*(set(m) for _, m in monos))
+            if not shared:
+                lines.append(f"    if ({terms(monos)}) % p: return False")
+                continue
+            x = min(shared)
+            q = sorted((m[:m.index(x)] + m[m.index(x) + 1:], c) for c, m in monos)
+            sign = q[0][1]
+            factors.setdefault(tuple((c * sign, m) for m, c in q), set()).add(x)
+    for q, xs in factors.items():
+        nonzero = " or ".join(f"{names[x]} % p" for x in sorted(xs))
+        lines.append(f"    if ({terms(q)}) % p and ({nonzero}): return False")
     lines.append("    return True")
     ns = {}
     exec("\n".join(lines), ns)

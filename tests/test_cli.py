@@ -285,6 +285,17 @@ def test_germ_keys_are_strict(capsys, tmp_path, table, keys):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("table, entries", [("beta", {"1": "2"}), ("mu", {"1,2": "5"}),
+                                            ("mu_sq", {"1,2": "5"})])
+def test_germ_without_alpha_is_not_a_configuration(capsys, tmp_path, table, entries):
+    # any parameter table makes the file a germ, so a missing alpha is an
+    # error rather than a silent switch to a generic point
+    path = write(tmp_path, "germ.json", dict(TWO_LETTER_NATIONS, **{table: entries}))
+    for command in ("build", "signature"):
+        rc, out = run(capsys, command, "--germ", path)
+        assert (rc, json.loads(out)) == (2, {"error": "alpha must cover every nation"})
+
+
 @pytest.mark.parametrize("command, text", [
     ("build --germ", '{"n": 2, "nations": [{"counties": [{"vertices": [1], "part": "first"}]},'
                      ' {"counties": [{"vertices": [2], "part": "first"}]}],'
@@ -308,6 +319,13 @@ def test_enumerate_rejects_n_over_the_bound(capsys):
     rc, out = run(capsys, "enumerate", "--n", "11")
     assert rc == 2
     assert "at most 10" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("argv", ["fibre --prime 23", "fibre --type /,/,/ --prime 10007"])
+def test_fibre_rejects_prime_over_the_bound(capsys, argv):
+    # the all-slash fibre has (p - 1)^6 vectors: 23 would take minutes
+    rc, out = run(capsys, *argv.split())
+    assert (rc, json.loads(out)) == (2, {"error": f"--prime must be at most 19, got {argv.split()[-1]}"})
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -335,7 +353,9 @@ def test_help_still_prints_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fibre", "--help"])
     assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: match-ybo fibre")
+    out = capsys.readouterr().out
+    assert out.startswith("usage: match-ybo fibre")
+    assert "3..19" in out  # the --prime bound
 
 
 def test_signature_config(capsys, tmp_path):

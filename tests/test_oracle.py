@@ -1,12 +1,17 @@
 import concurrent.futures
+import random
 from collections import Counter
 from itertools import product
 
 import pytest
 
+from match_ybo.classify import coarsen
 from match_ybo.errors import MalformedInputError
 from match_ybo.oracle import (
+    _block_candidates,
     _family_rule,
+    _pair_ok,
+    check_vector,
     default_types,
     fibre_report,
     fibre_scan,
@@ -232,3 +237,35 @@ def test_census_table_at_7():
     assert [r["type"] for r in report] == list(CENSUS_7)
     summary = fibre_summary("/,/,+", 11)
     assert (summary["solutions"], summary["matches_family"]) == (17000, True)
+
+
+def scanned_vectors(ftype, p):
+    """Every vector the scan of a coarse fibre hands to check_vector, hit or not."""
+    coarse = [coarsen(t) for t in ftype]
+    for s in product(range(1, p), repeat=3):
+        pools = [_block_candidates(c, s[blk[0]], s[blk[1]], p) for c, blk in zip(coarse, BLOCKS)]
+        for b12, b13, b23 in product(*pools):
+            yield s + b12 + b13 + b23
+
+
+def test_grouped_checkers_match_every_relation_image():
+    # The compiled checkers test each shared cofactor Q of images b*Q, c*Q
+    # once, as "Q and (b or c)"; compare them with the images one by one.
+    # Entries drawn from 0, 1 and any residue make zero factors common.
+    rng = random.Random(0)
+    for p in (3, 5, 7, 11, 13):
+        verdicts = Counter()
+        for _ in range(3000):
+            v = tuple(rng.choice((0, 1, rng.randrange(p))) for _ in range(15))
+            verdict = check_vector(v, p)
+            assert verdict == vanishes(TRIPLE_POLYS[5:], TRIPLE_REINDEX, v, p), (v, p)
+            assert _pair_ok(v[:6], p) == vanishes(PAIR_POLYS, PAIR_REINDEX, v[:6], p), (v, p)
+            verdicts[verdict] += 1
+        assert min(verdicts[True], verdicts[False]) > 10, (p, verdicts)
+    verdicts = Counter()
+    for ftype in default_types():
+        for v in scanned_vectors(ftype, 5):
+            verdict = check_vector(v, 5)
+            assert verdict == vanishes(TRIPLE_POLYS[5:], TRIPLE_REINDEX, v, 5), v
+            verdicts[verdict] += 1
+    assert verdicts == {True: 4540, False: 2452}
