@@ -45,10 +45,9 @@ def _load(path):
     try:
         with open(path, "r", encoding="ascii") as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
-    except UnicodeDecodeError as exc:
-        raise MalformedInputError(f"{path} is not ASCII: {exc}") from exc
-    except RecursionError as exc:
-        raise MalformedInputError(f"{path} nests too deeply") from exc
+    except (ValueError, RecursionError) as exc:
+        # not ASCII, not JSON, nested too deeply, or an integer literal int() refuses
+        raise MalformedInputError(f"{path}: {exc}") from exc
 
 
 def _seed(args):
@@ -98,20 +97,13 @@ def cmd_enumerate(args):
     return 0
 
 
-def _load_germ_object(path):
-    data = _load(path)
-    if not isinstance(data, dict):
-        raise MalformedInputError(f"bad germ JSON: expected an object, got {type(data).__name__}")
-    return data
-
-
 def _load_germ(path, seed):
-    """A germ file, or a bare configuration (no parameter table) at a generic point."""
-    data = _load_germ_object(path)
-    if any(table in data for table in ("alpha", "beta", "mu", "mu_sq")):
-        return germ_from_json(data)
-    config = configuration_from_json(data)
-    return Germ(config, generic_point(config, seed=seed))
+    """A germ file, or a bare configuration (only `n` and `nations`) at a generic point."""
+    data = _load(path)
+    if isinstance(data, dict) and data.keys() == {"n", "nations"}:
+        config = configuration_from_json(data)
+        return Germ(config, generic_point(config, seed=seed))
+    return germ_from_json(data)
 
 
 def cmd_build(args):
@@ -172,7 +164,7 @@ def cmd_signature(args):
     from .signature import signature_check, signature_formula, signature_notation
 
     if args.germ:
-        germ = germ_from_json(_load_germ_object(args.germ))
+        germ = germ_from_json(_load(args.germ))
         rep = signature_check(germ)
         emit({
             "formula": list(rep.formula),
@@ -290,7 +282,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (MalformedInputError, json.JSONDecodeError, OSError) as exc:
+    except (MalformedInputError, OSError) as exc:
         emit({"error": str(exc)})
         return 2
     except MatchYboError as exc:

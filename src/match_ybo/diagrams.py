@@ -21,7 +21,7 @@ from collections import namedtuple
 from typing import Iterator, NamedTuple
 
 from .errors import MalformedInputError, OrbitTooLargeError
-from .scalars import parse_int, parse_list
+from .scalars import parse_int, read
 
 PART_TAGS = ("first", "second")
 
@@ -285,22 +285,16 @@ def configuration_to_json(config):
     }
 
 
+CONFIGURATION = {
+    "n": parse_int,
+    # `str` passes a part tag on, and Configuration rejects all but PART_TAGS
+    "nations": [{"counties": [{"vertices": [parse_int], "part": str}]}],
+}
+
+
+def configuration_of(n, nations) -> Configuration:
+    return Configuration(n, tuple(Nation(tuple(County(*c) for c in cs)) for (cs,) in nations))
+
+
 def configuration_from_json(data) -> Configuration:
-    try:
-        nations = tuple(
-            Nation(
-                tuple(
-                    County(
-                        tuple(parse_int(v) for v in parse_list(c["vertices"], "vertices")),
-                        str(c["part"]),
-                    )
-                    for c in parse_list(nat["counties"], "counties")
-                )
-            )
-            for nat in parse_list(data["nations"], "nations")
-        )
-        return Configuration(parse_int(data["n"]), nations)
-    except MalformedInputError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInputError(f"bad configuration JSON: {exc}") from exc
+    return configuration_of(*read(data, CONFIGURATION, "configuration"))

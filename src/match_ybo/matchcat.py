@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import MalformedInputError
-from .scalars import format_scalar, parse_int, parse_list, parse_scalar
+from .scalars import format_scalar, parse_int, read, scalar
 
 
 class EdgeBlock(NamedTuple):
@@ -52,7 +52,7 @@ class MatchMatrix2(namedtuple("MatchMatrix2", "n vertices edges")):
     def __init__(self, n, vertices, edges):
         if len(vertices) != n:
             raise MalformedInputError("vertex count mismatch")
-        if set(edges) != set(edge_pairs(n)):
+        if len(edges) != n * (n - 1) // 2 or set(edges) != set(edge_pairs(n)):
             raise MalformedInputError("edge set must be exactly {(i,j): i<j}")
 
     def vertex(self, i) -> Fraction:
@@ -244,20 +244,16 @@ def matrix_to_json(m):
     }
 
 
+MATRIX = {
+    "n": parse_int,
+    "vertices": [scalar],
+    "edges": [{"i": parse_int, "j": parse_int, "a": scalar, "b": scalar, "c": scalar, "d": scalar}],
+}
+
+
 def matrix_from_json(data) -> MatchMatrix2:
-    try:
-        n = parse_int(data["n"])
-        vs = tuple(parse_scalar(v) for v in parse_list(data["vertices"], "vertices"))
-        es = {}
-        for e in parse_list(data["edges"], "edges"):
-            i, j = parse_int(e["i"]), parse_int(e["j"])
-            if not 1 <= i < j <= n:
-                raise MalformedInputError(f"bad edge pair ({i},{j})")
-            if (i, j) in es:
-                raise MalformedInputError(f"duplicate edge ({i},{j})")
-            es[(i, j)] = EdgeBlock(*(parse_scalar(e[k]) for k in "abcd"))
-    except MalformedInputError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInputError(f"bad matrix JSON: {exc}") from exc
-    return MatchMatrix2(n, vs, es)
+    n, vertices, edge_list = read(data, MATRIX, "matrix")
+    edges = {(i, j): EdgeBlock(a, b, c, d) for i, j, a, b, c, d in edge_list}
+    if len(edges) != len(edge_list):
+        raise MalformedInputError("matrix.edges: an edge pair is given twice")
+    return MatchMatrix2(n, vertices, edges)

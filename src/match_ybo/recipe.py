@@ -24,10 +24,10 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 
-from .diagrams import configuration_from_json, configuration_to_json
+from .diagrams import CONFIGURATION, configuration_of, configuration_to_json
 from .errors import MalformedInputError
 from .matchcat import EdgeBlock, MatchMatrix2, edge_pairs
-from .scalars import format_scalar, parse_int, parse_scalar
+from .scalars import format_scalar, parse_int, read, scalar
 
 
 class ParamPoint(namedtuple("ParamPoint", "mu alpha beta mu_sq")):
@@ -139,33 +139,19 @@ def germ_to_json(germ):
 
 
 def _parse_pair_key(key):
-    parts = key.split(",")
-    if len(parts) != 2:
-        raise MalformedInputError(f"bad nation pair key {key!r}")
-    i, j = (parse_int(t) for t in parts)
-    if not i < j:
-        raise MalformedInputError(f"nation pair key must be increasing: {key!r}")
-    return (i, j)
+    i, _, j = key.partition(",")
+    return (parse_int(i), parse_int(j))
 
 
-def _parse_table(table, parse_key):
-    """A parameter table; two keys that parse to the same one are an error."""
-    out = {}
-    for k, v in table.items():
-        key = parse_key(k)
-        if key in out:
-            raise MalformedInputError(f"repeated key {k!r}")
-        out[key] = parse_scalar(v)
-    return out
+GERM = {  # the tables in ParamPoint field order
+    **CONFIGURATION,
+    "mu": (_parse_pair_key, scalar),
+    "alpha": (parse_int, scalar),
+    "beta": (parse_int, scalar),
+    "mu_sq": (_parse_pair_key, scalar),
+}
 
 
 def germ_from_json(data) -> Germ:
-    config = configuration_from_json(data)
-    try:
-        mu = _parse_table(data.get("mu", {}), _parse_pair_key)
-        mu_sq = _parse_table(data.get("mu_sq", {}), _parse_pair_key)
-        alpha = _parse_table(data.get("alpha", {}), parse_int)
-        beta = _parse_table(data.get("beta", {}), parse_int)
-    except AttributeError as exc:  # a table that is not an object
-        raise MalformedInputError(f"bad germ JSON: {exc}") from exc
-    return Germ(config, ParamPoint(mu=mu, alpha=alpha, beta=beta, mu_sq=mu_sq))
+    n, nations, *tables = read(data, GERM, "germ")
+    return Germ(configuration_of(n, nations), ParamPoint(*tables))

@@ -1,4 +1,4 @@
-"""Exact rational scalars and their serialized form.
+"""Exact rational scalars, their serialized form, and the input file reader.
 
 Scalars are stdlib `fractions.Fraction` throughout. The wire format is a
 string: an optionally signed integer "5", "-3", or a reduced ratio "1/3",
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import MalformedInputError
 
-_SCALAR_RE = re.compile(r"-?\d+(/[1-9]\d*)?")
+_SCALAR_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
 _INT_RE = re.compile(r"-?\d+")
 
 
@@ -26,20 +26,51 @@ def parse_int(value) -> int:
     return int(value)
 
 
-def parse_list(value, name) -> list:
-    """A JSON array field; a string or object would be read item by item."""
-    if not isinstance(value, list):
-        raise MalformedInputError(f"{name} must be a JSON array, got {type(value).__name__}")
-    return value
-
-
 def parse_scalar(text) -> Fraction:
     """Parse "p" or "p/q" (or an int, but not a bool) into a Fraction."""
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if not isinstance(text, str) or not _SCALAR_RE.fullmatch(text):
+    if not isinstance(text, str) or not (match := _SCALAR_RE.fullmatch(text)):
         raise MalformedInputError(f"bad scalar {text!r}")
-    return Fraction(text)
+    return Fraction(int(match[1]), int(match[2] or 1))
+
+
+def scalar(value) -> Fraction:
+    """The leaf shape of a scalar; it calls `parse_scalar` through this module."""
+    return parse_scalar(value)
+
+
+def read(data, shape, path):
+    """JSON `data` read with `shape`; `path` names `data` in error messages.
+
+    A shape is a leaf parser; `[s]`, an array read as a tuple; `{key: s}`, an
+    object with exactly these keys, read as the tuple of its values (a table
+    left out reads as `{}`); or `(parse_key, s)`, a table read as a dict, no
+    two keys parsing alike. The recursion follows the shape, never the data.
+    """
+    if not isinstance(shape, (list, dict, tuple)):
+        try:
+            return shape(data)
+        except (MalformedInputError, ValueError) as exc:  # int() refuses overlong digit strings
+            raise MalformedInputError(f"{path}: {exc}") from None
+    kind, name = (list, "array") if isinstance(shape, list) else (dict, "object")
+    if not isinstance(data, kind):
+        raise MalformedInputError(f"{path}: expected a JSON {name}, got {type(data).__name__}")
+    if kind is list:
+        return tuple([read(v, shape[0], f"{path}[{k}]") for k, v in enumerate(data)])
+    if isinstance(shape, tuple):
+        out = {read(k, shape[0], f"{path}[{k!r}]"): read(v, shape[1], f"{path}[{k!r}]")
+               for k, v in data.items()}
+        if len(out) != len(data):
+            raise MalformedInputError(f"{path}: two keys name the same entry")
+        return out
+    unknown, absent = data.keys() - shape.keys(), shape.keys() - data.keys()
+    missing = {key for key in absent if not isinstance(shape[key], tuple)}
+    if unknown or missing:
+        which = "unknown" if unknown else "missing"
+        raise MalformedInputError(f"{path}: {which} key {min(unknown or missing)!r}")
+    return tuple([read(data[key], item, f"{path}.{key}") if key in data else {}
+                  for key, item in shape.items()])
 
 
 def format_scalar(x) -> str:

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -7,13 +8,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import match_ybo
 from match_ybo.cli import main
 from match_ybo.diagrams import configuration_to_json, enumerate_transversal
 from match_ybo.matchcat import matrix_to_json
 from match_ybo.oracle import default_types
-from match_ybo.recipe import Germ, generic_point, germ_to_json, rec
+from match_ybo.recipe import Germ, ParamPoint, generic_point, germ_to_json, rec
 
 from matchcat_oracles import matrix
 
@@ -197,6 +199,20 @@ def test_boolean_scalar_exits_2(capsys, tmp_path):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 1, "vertices": ["%s"], "edges": []}' % ("1" * 5000),
+    '{"n": 1, "vertices": [%s], "edges": []}' % ("1" * 5000),
+    '{"n": "%s", "vertices": ["1"], "edges": []}' % ("1" * 5000),
+], ids=["scalar-string", "json-integer", "integer-field"])
+def test_overlong_integers_exit_2(capsys, tmp_path, text):
+    # int() refuses more than sys.get_int_max_str_digits() digits with a ValueError
+    path = tmp_path / "long.json"
+    path.write_text(text, encoding="ascii")
+    rc = main(["verify", "--matrix", str(path)])
+    captured = capsys.readouterr()
+    assert (rc, set(json.loads(captured.out)), captured.err) == (2, {"error"}, "")
+
+
 @pytest.mark.parametrize("data", [5, None, "alpha", [1]])
 def test_build_germ_non_object_exits_2(capsys, tmp_path, data):
     path = write(tmp_path, "germ.json", data)
@@ -209,7 +225,7 @@ def test_build_germ_non_object_exits_2(capsys, tmp_path, data):
 def test_germ_file_that_is_not_an_object_exits_2(capsys, tmp_path, command):
     path = write(tmp_path, "germ.json", [1, 2])
     rc, out = run(capsys, command, "--germ", path)
-    assert (rc, json.loads(out)) == (2, {"error": "bad germ JSON: expected an object, got list"})
+    assert (rc, json.loads(out)) == (2, {"error": "germ: expected a JSON object, got list"})
 
 
 SWAP_EDGE = {"i": 1, "j": 2, "a": "0", "b": "1", "c": "1", "d": "0"}
@@ -312,6 +328,84 @@ def test_repeated_json_keys_exit_2(capsys, tmp_path, command, text):
     rc, out = run(capsys, *command.split(), str(path))
     assert rc == 2
     assert "repeated key" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("command, data, error", [
+    ("build --germ", dict(TWO_LETTER_NATIONS, Alpha={"1": "5", "2": "3"}, Mu={"1,2": "7"}),
+     "germ: unknown key 'Alpha'"),
+    ("verify --matrix", {"n": 2, "vertices": ["1", "1"], "colour": "red",
+                         "edges": [dict(SWAP_EDGE, e="9")]}, "matrix: unknown key 'colour'"),
+    ("verify --matrix", {"n": 2, "vertices": ["1", "1"], "edges": [dict(SWAP_EDGE, e="9")]},
+     "matrix.edges[0]: unknown key 'e'"),
+], ids=["germ-tables", "matrix-top-level", "matrix-edge"])
+def test_unknown_keys_exit_2(capsys, tmp_path, command, data, error):
+    # misspelt tables once built at a generic point, and stray matrix keys
+    # once verified as a solution, both with exit 0
+    rc, out = run(capsys, *command.split(), write(tmp_path, "input.json", data))
+    assert (rc, out) == (2, canonical({"error": error}) + "\n")
+
+
+def _valid_inputs():
+    """Valid germ, matrix and configuration files on up to three letters."""
+    files = {"germ": [], "matrix": [], "configuration": []}
+    for config in enumerate_transversal(3)[::2]:
+        point = generic_point(config, seed=3)
+        germ = Germ(config, point)
+        files["germ"].append(germ_to_json(germ))
+        slash = ParamPoint(mu_sq=point.mu, alpha=point.alpha, beta=point.beta)
+        files["germ"].append(germ_to_json(Germ(config, slash)))
+        files["matrix"].append(matrix_to_json(rec(germ)))
+        files["configuration"].append(configuration_to_json(config))
+    return files
+
+
+VALID_INPUTS = _valid_inputs()
+READERS = {
+    "germ": ["build --germ", "signature --germ"],
+    "matrix": ["verify --matrix", "classify --matrix"],
+    "configuration": ["build --germ", "signature --config", "orbit --config"],
+}
+
+
+def _draw_site(data, tree):
+    """A (container, key) pair of a JSON tree, drawn by a walk from the root
+    that stops at each level with even odds."""
+    node = tree
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or data.draw(st.booleans()):
+            return node, key
+        node = child
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_mutated_input_files_exit_2(capsys, tmp_path, data):
+    kind = data.draw(st.sampled_from(sorted(READERS)))
+    tree = copy.deepcopy(data.draw(st.sampled_from(VALID_INPUTS[kind])))
+    container, key = _draw_site(data, tree)
+    # leaving out an empty parameter table gives the same germ
+    edits = ["retype", "wrap"]
+    if isinstance(container, dict):
+        edits += ["rename"] + (["drop"] if container[key] != {} else [])
+    edit = data.draw(st.sampled_from(edits))
+    if edit == "drop":
+        del container[key]
+    elif edit == "rename":
+        container[f"{key}_"] = container.pop(key)
+    elif edit == "retype":
+        container[key] = data.draw(st.sampled_from([None, True, 1.5]))
+    else:
+        container[key] = [container[key]]
+    path = write(tmp_path, "mutated.json", tree)
+    for command in READERS[kind]:
+        rc = main([*command.split(), path])
+        captured = capsys.readouterr()
+        assert rc == 2, (command, captured.out)
+        assert set(json.loads(captured.out)) == {"error"}
+        assert captured.out.count("\n") == 1 and captured.err == ""
 
 
 def test_enumerate_rejects_n_over_the_bound(capsys):

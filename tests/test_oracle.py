@@ -1,6 +1,6 @@
 import concurrent.futures
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import product
 
 import pytest
@@ -18,9 +18,10 @@ from match_ybo.oracle import (
     fibre_summary,
     parse_fibre_type,
 )
+from match_ybo.recipe import Germ, ParamPoint, rec
 from match_ybo.ybe import PAIR_POLYS, PAIR_REINDEX, TRIPLE_POLYS, TRIPLE_REINDEX, eval_poly
 
-from helpers import enumerate_fibre, x_rescale
+from helpers import enumerate_configurations, enumerate_fibre, x_rescale
 
 # Entry indices (a1 or a2, then a, b, c, d) of each block of the 15-entry vector.
 BLOCKS = ((0, 1, 3, 4, 5, 6), (0, 2, 7, 8, 9, 10), (1, 2, 11, 12, 13, 14))
@@ -269,3 +270,52 @@ def test_grouped_checkers_match_every_relation_image():
             assert verdict == vanishes(TRIPLE_POLYS[5:], TRIPLE_REINDEX, v, 5), v
             verdicts[verdict] += 1
     assert verdicts == {True: 4540, False: 2452}
+
+
+# Coarse label of a gauged block by its zero pattern (a, b, c, d nonzero?).
+COARSE_OF_PATTERN = {
+    (True, False, False, True): "0",
+    (False, True, True, False): "/",
+    (True, True, True, False): "+",
+    (False, True, True, True): "-",
+}
+
+
+def rec_images(p):
+    """Gauged mod-p images of rec on every 3-letter configuration, by coarse
+    label triple. Parameters run over 1..p-1 with alpha + beta != 0 mod p,
+    and every nation pair is given as mu_sq."""
+    images = defaultdict(set)
+    nz = range(1, p)
+    for config in enumerate_configurations(3):
+        m = len(config.nations)
+        multi = [i for i, nat in enumerate(config.nations, start=1) if len(nat.counties) >= 2]
+        pairs = [(i, j) for j in range(2, m + 1) for i in range(1, j)]
+        for alpha, beta, mu_sq in product(product(nz, repeat=m), product(nz, repeat=len(multi)),
+                                          product(nz, repeat=len(pairs))):
+            if any((alpha[i - 1] + b) % p == 0 for i, b in zip(multi, beta)):
+                continue
+            params = ParamPoint(alpha=dict(enumerate(alpha, start=1)),
+                                beta=dict(zip(multi, beta)), mu_sq=dict(zip(pairs, mu_sq)))
+            mat = rec(Germ(config, params))
+            vec = tuple(int(x) % p for x in mat.vertices)
+            labels = []
+            for pair in ((1, 2), (1, 3), (2, 3)):
+                a, b, c, d = (int(x) % p for x in mat.edges[pair])
+                if c:
+                    b, c = b * c % p, 1
+                vec += (a, b, c, d)
+                labels.append(COARSE_OF_PATTERN[(a != 0, b != 0, c != 0, d != 0)])
+            images[tuple(labels)].add(vec)
+    return images
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_census_is_the_image_of_rec(p):
+    # every F_p solution on three letters is a rec output, and every rec
+    # output is a solution: both directions of the classification at n = 3
+    images = rec_images(p)
+    assert set(images) <= set(product("0/+-", repeat=3))
+    for ftype in product("0/+-", repeat=3):
+        assert images.get(ftype, set()) == set(fibre_scan(ftype, p)), ftype
+    assert sum(map(len, images.values())) == {5: 6548, 7: 59910}[p]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from match_ybo.errors import MalformedInputError
-from match_ybo.scalars import format_scalar, parse_int, parse_scalar, rational_sqrt
+from match_ybo.scalars import format_scalar, parse_int, parse_scalar, rational_sqrt, read, scalar
 
 
 def test_parse_basics():
@@ -36,6 +36,34 @@ def test_parse_int():
 def test_parse_int_rejects(bad):
     with pytest.raises(MalformedInputError):
         parse_int(bad)
+
+
+@given(st.from_regex(r"-?[0-9]+(/[1-9][0-9]*)?", fullmatch=True))
+def test_parse_agrees_with_fraction(text):
+    assert parse_scalar(text) == Fraction(text)
+
+
+SHAPE = {"xs": [{"a": scalar}], "t": (parse_int, scalar)}
+
+
+def test_read_follows_the_shape():
+    assert read({"xs": [{"a": "1/2"}], "t": {"3": 4}}, SHAPE, "f") == (((Fraction(1, 2),),), {3: 4})
+    assert read({"xs": []}, SHAPE, "f") == ((), {})  # a table may be left out
+
+
+@pytest.mark.parametrize("data, error", [
+    ({"xs": [{"a": "1"}, {"a": "x"}]}, "f.xs[1].a: bad scalar 'x'"),
+    ({"xs": [{"a": "1", "b": "2"}]}, "f.xs[0]: unknown key 'b'"),
+    ({"t": {}}, "f: missing key 'xs'"),
+    ({"xs": "ab"}, "f.xs: expected a JSON array, got str"),
+    ([], "f: expected a JSON object, got list"),
+    ({"xs": [], "t": {"1": "2", "01": "3"}}, "f.t: two keys name the same entry"),
+    ({"xs": [], "t": {"1.0": "2"}}, "f.t['1.0']: bad integer '1.0'"),
+])
+def test_read_names_the_path(data, error):
+    with pytest.raises(MalformedInputError) as exc:
+        read(data, SHAPE, "f")
+    assert str(exc.value) == error
 
 
 @given(st.fractions(min_value=-10**6, max_value=10**6))

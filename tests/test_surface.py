@@ -138,3 +138,21 @@ def test_no_class_defines_value_dunders():
                     and node.name in {"__eq__", "__hash__", "__repr__"}
                 ]
     assert defined == []
+
+
+def test_json_readers_leave_schema_checks_to_read():
+    # `scalars.read` is the one schema check: a `*_from_json` function holds
+    # no `try` statement and no `isinstance` call of its own
+    readers, checks = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(fn, ast.FunctionDef) and fn.name.endswith("_from_json")):
+                continue
+            readers.append(fn.name)
+            for node in ast.walk(fn):
+                is_isinstance = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                                 and node.func.id == "isinstance")
+                if isinstance(node, ast.Try) or is_isinstance:
+                    checks.append(f"{path.name}:{fn.name}:{node.lineno}")
+    assert sorted(readers) == ["configuration_from_json", "germ_from_json", "matrix_from_json"]
+    assert checks == []
