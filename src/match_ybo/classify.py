@@ -74,50 +74,58 @@ def coarsen(label) -> EdgeLabelH:
         raise ValueError(f"not an edge label: {label!r}") from None
 
 
+# The nonzero pattern (a, b, c, d) of each coarse label's blocks; a block
+# with any other pattern is inadmissible.
+H_BLOCK = {
+    EdgeLabelH.ZERO: (1, 0, 0, 1),
+    EdgeLabelH.SLASH: (0, 1, 1, 0),
+    EdgeLabelH.PLUS: (1, 1, 1, 0),
+    EdgeLabelH.MINUS: (0, 1, 1, 1),
+}
+_PATTERN_LABEL = {tuple(map(bool, pattern)): label for label, pattern in H_BLOCK.items()}
+
+# The f/a split: a coarse label and whether the edge's two vertex scalars are
+# equal give the fine label.  A zero edge joins equal scalars.
+FINE_LABEL = {
+    (EdgeLabelH.ZERO, True): EdgeLabelI.ZERO,
+    (EdgeLabelH.SLASH, True): EdgeLabelI.SLASH,
+    (EdgeLabelH.SLASH, False): EdgeLabelI.SLASH,
+    (EdgeLabelH.PLUS, True): EdgeLabelI.FPLUS,
+    (EdgeLabelH.PLUS, False): EdgeLabelI.APLUS,
+    (EdgeLabelH.MINUS, True): EdgeLabelI.FMINUS,
+    (EdgeLabelH.MINUS, False): EdgeLabelI.AMINUS,
+}
+
+
 def label_edge(m, i, j) -> EdgeLabelI:
-    """Fine label of edge (i, j), i < j; InadmissibleEdgeError otherwise."""
+    """Fine label of edge (i, j), i < j; InadmissibleEdgeError otherwise.
+
+    A zero block is moreover a scalar matrix carrying both vertex scalars."""
     if not 1 <= i < j <= m.n:
         raise ValueError(f"need 1 <= i < j <= {m.n}, got {(i, j)}")
     blk = m.edges[(i, j)]
     ai, aj = m.vertices[i - 1], m.vertices[j - 1]
-    if blk.b == 0 and blk.c == 0:
-        if blk.a != 0 and blk.a == blk.d == ai == aj:
-            return EdgeLabelI.ZERO
+    coarse = _PATTERN_LABEL.get(tuple(map(bool, blk)))
+    fine = FINE_LABEL.get((coarse, ai == aj))
+    if fine is None or (fine is EdgeLabelI.ZERO and not blk.a == blk.d == ai):
         raise InadmissibleEdgeError((i, j))
-    if blk.b == 0 or blk.c == 0:
-        raise InadmissibleEdgeError((i, j))
-    if blk.a == 0 and blk.d == 0:
-        return EdgeLabelI.SLASH
-    if blk.d == 0:
-        return EdgeLabelI.FPLUS if ai == aj else EdgeLabelI.APLUS
-    if blk.a == 0:
-        return EdgeLabelI.FMINUS if ai == aj else EdgeLabelI.AMINUS
-    raise InadmissibleEdgeError((i, j))
+    return fine
 
 
 def edge_labels(m):
     return {pair: label_edge(m, *pair) for pair in edge_pairs(m.n)}
 
 
-# Triangles of coarse labels, listed (h12, h13, h23).
-
-_H_BLOCK = {
-    EdgeLabelH.ZERO: (1, 0, 0, 1),
-    EdgeLabelH.SLASH: (0, 1, 1, 0),
-    EdgeLabelH.PLUS: (1, 1, 1, 0),
-    EdgeLabelH.MINUS: (0, 1, 1, 1),
-}
-
-_TRIANGLE_PAIRS = ((1, 2), (1, 3), (2, 3))
+# Triangles of coarse labels, listed (h12, h13, h23) as edge_pairs(3) orders them.
 
 
 def _triangle_matrix(triple):
-    es = {pair: EdgeBlock(*_H_BLOCK[EdgeLabelH(t)]) for pair, t in zip(_TRIANGLE_PAIRS, triple)}
+    es = {pair: EdgeBlock(*H_BLOCK[EdgeLabelH(t)]) for pair, t in zip(edge_pairs(3), triple)}
     return MatchMatrix2(3, (1, 1, 1), es)
 
 
 def _triangle_labels(m):
-    return tuple(coarsen(label_edge(m, *p)) for p in _TRIANGLE_PAIRS)
+    return tuple(coarsen(label_edge(m, *p)) for p in edge_pairs(3))
 
 
 def triangle_perm(triple, perm):
@@ -131,7 +139,7 @@ def triangle_flip(triple):
 _H_ORDER = tuple(EdgeLabelH)
 
 
-def _triple_key(triple):
+def triple_key(triple):
     return tuple(_H_ORDER.index(t) for t in triple)
 
 
@@ -162,7 +170,7 @@ def g3_orbits():
         orb = orbit_of_triple(triple)
         seen |= orb
         orbits.append(orb)
-    return tuple(sorted(orbits, key=lambda o: min(_triple_key(t) for t in o)))
+    return tuple(sorted(orbits, key=lambda o: min(triple_key(t) for t in o)))
 
 
 _FORCED = {

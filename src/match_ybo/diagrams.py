@@ -20,7 +20,7 @@ import itertools
 from collections import namedtuple
 from typing import Iterator, NamedTuple
 
-from .errors import MalformedInputError, OrbitTooLargeError
+from .errors import MalformedInputError
 from .scalars import parse_int, read
 
 PART_TAGS = ("first", "second")
@@ -251,7 +251,7 @@ def canonicalize(config):
 def orbit(config, include_flip=False) -> list:
     """All distinct relabellings of config, optionally with the county-order flip."""
     if config.n > 8:
-        raise OrbitTooLargeError(f"refusing orbit for n={config.n}")
+        raise MalformedInputError(f"orbit needs n at most 8, got {config.n}")
     base = [config, flip_configuration(config)] if include_flip else [config]
     seen = {}
     for c in base:

@@ -32,7 +32,3 @@ class IrrationalSpectrumError(MatchYboError):
         self.trace = trace
         self.det = det
         super().__init__(f"irrational spectrum: z^2 - ({trace})z + ({det})")
-
-
-class OrbitTooLargeError(MatchYboError):
-    """Refusing to materialize a symmetric-group orbit for n > 8."""

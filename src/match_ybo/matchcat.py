@@ -123,20 +123,8 @@ def x_normalize(m) -> MatchMatrix2:
 
 
 def x_equivalent(m1, m2) -> bool:
-    """True iff m1, m2 differ only by per-edge (b,c) -> (xb, c/x) rescalings.
-
-    Criterion: equal vertex scalars; per edge equal a and d, equal products
-    b*c, and matching zero patterns of b and of c.
-    """
-    if m1.n != m2.n or m1.vertices != m2.vertices:
-        return False
-    for pair in edge_pairs(m1.n):
-        p, q = m1.edges[pair], m2.edges[pair]
-        if p.a != q.a or p.d != q.d or p.b * p.c != q.b * q.c:
-            return False
-        if (p.b == 0) != (q.b == 0) or (p.c == 0) != (q.c == 0):
-            return False
-    return True
+    """True iff m1, m2 differ only by per-edge (b,c) -> (xb, c/x) rescalings."""
+    return x_normalize(m1) == x_normalize(m2)
 
 
 def invertible(m) -> bool:

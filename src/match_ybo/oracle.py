@@ -26,13 +26,13 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .classify import _H_BLOCK, EdgeLabelH, EdgeLabelI, _triple_key, coarsen, g3_orbits
+from .classify import FINE_LABEL, H_BLOCK, EdgeLabelH, EdgeLabelI, coarsen, g3_orbits, triple_key
 from .errors import MalformedInputError
+from .matchcat import edge_pairs
 from .ybe import PAIR_POLYS, PAIR_REINDEX, TRIPLE_POLYS, TRIPLE_REINDEX
 
 _TOKENS = {label.value for label in (*EdgeLabelH, *EdgeLabelI)}
 _EDGE_OFFSETS = (3, 7, 11)
-_VERTEX_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def parse_fibre_type(ftype):
@@ -107,25 +107,17 @@ _pair_ok = _compile(PAIR_REINDEX, PAIR_POLYS)
 def _block_candidates(coarse, s, t, p):
     """Gauged blocks with the given pattern passing both pair relations."""
     nz = range(1, p)
-    ranges = [nz if mark else (0,) for mark in _H_BLOCK[coarse]]
+    ranges = [nz if mark else (0,) for mark in H_BLOCK[coarse]]
     if ranges[2] is nz:
         ranges[2] = (1,)  # the lower-1 gauge c = 1
     return tuple(blk for blk in product(*ranges) if _pair_ok((s, t) + blk, p))
 
 
-# Signed fine labels pin whether the edge's two vertex scalars are equal.
-_SAME_SCALARS = {
-    EdgeLabelI.FPLUS: True,
-    EdgeLabelI.FMINUS: True,
-    EdgeLabelI.APLUS: False,
-    EdgeLabelI.AMINUS: False,
-}
-
-
 def _vertices_ok(ftype, scalars):
-    for tok, (i, j) in zip(ftype, _VERTEX_PAIRS):
-        same = _SAME_SCALARS.get(tok)
-        if same is not None and same != (scalars[i] == scalars[j]):
+    """Does each f/a token of the type agree with its edge's two scalars?"""
+    for tok, (i, j) in zip(ftype, edge_pairs(3)):
+        coarse = coarsen(tok)
+        if tok != coarse and FINE_LABEL[coarse, scalars[i - 1] == scalars[j - 1]] != tok:
             return False
     return True
 
@@ -227,7 +219,7 @@ def default_types():
     """Minimal representative of each coarse orbit, in orbit order."""
     reps = []
     for orb in g3_orbits():
-        rep = min(orb, key=_triple_key)
+        rep = min(orb, key=triple_key)
         reps.append(tuple(t.value for t in rep))
     return tuple(reps)
 

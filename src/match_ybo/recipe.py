@@ -2,7 +2,8 @@
 
 A parameter point attaches a nonzero scalar mu to every unordered pair of
 nations, a nonzero alpha to every nation, and a nonzero beta to every nation
-with at least two counties (with alpha + beta != 0). The operator of a germ:
+with two or more counties or a "second" county (with alpha + beta != 0). The
+operator of a germ:
 
   * vertices in a "first"-tagged county carry alpha, others beta;
   * edges between nations i < j get the block mu * [[0,1],[1,0]];
@@ -54,6 +55,11 @@ class ParamPoint(namedtuple("ParamPoint", "mu alpha beta mu_sq")):
         return self
 
 
+def _needs_beta(nation):
+    """Two or more counties, or a county tagged "second"."""
+    return len(nation.counties) >= 2 or any(c.part == "second" for c in nation.counties)
+
+
 class Germ(namedtuple("Germ", "config params")):
     __slots__ = ()
 
@@ -62,14 +68,12 @@ class Germ(namedtuple("Germ", "config params")):
         pairs = {(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)}
         if set(params.alpha) != set(range(1, m + 1)):
             raise MalformedInputError("alpha must cover every nation")
-        multi = {i for i, nat in enumerate(config.nations, start=1) if len(nat.counties) >= 2}
+        multi = {i for i, nat in enumerate(config.nations, start=1) if _needs_beta(nat)}
         if set(params.beta) != multi:
-            raise MalformedInputError("beta must cover exactly the nations with >= 2 counties")
+            raise MalformedInputError(
+                "beta must cover exactly the nations with >= 2 counties or a second county")
         if set(params.mu) | set(params.mu_sq) != pairs:
             raise MalformedInputError("mu must cover every nation pair")
-        for i, nat in enumerate(config.nations, start=1):
-            if any(c.part == "second" for c in nat.counties) and i not in params.beta:
-                raise MalformedInputError(f"nation {i} uses a second part but has no beta")
 
 
 def generic_point(config, seed=0) -> ParamPoint:
@@ -82,7 +86,7 @@ def generic_point(config, seed=0) -> ParamPoint:
     rng = random.Random(seed)
     m = len(config.nations)
     pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
-    multi = [i for i, nat in enumerate(config.nations, start=1) if len(nat.counties) >= 2]
+    multi = [i for i, nat in enumerate(config.nations, start=1) if _needs_beta(nat)]
     k = len(pairs) + m + len(multi)
     values = [Fraction(v) for v in rng.sample(range(1, 8 * k + 8), k)]
     mu = {p: values.pop() for p in pairs}

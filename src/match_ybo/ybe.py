@@ -116,15 +116,11 @@ def eval_poly(poly, v):
 
 
 def entry_vector(m):
-    """The 15-entry vector of a 3-letter matrix (or 6-entry for 2 letters)."""
+    """The vertex scalars, then the edge blocks in listing order: 15 entries
+    for 3 letters, 6 for 2."""
     v = list(m.vertices)
-    if m.n == 2:
-        v.extend(m.edges[(1, 2)])
-    elif m.n == 3:
-        for pair in ((1, 2), (1, 3), (2, 3)):
-            v.extend(m.edges[pair])
-    else:
-        raise ValueError(f"entry_vector needs 2 or 3 letters, got {m.n}")
+    for pair in edge_pairs(m.n):
+        v.extend(m.edges[pair])
     return tuple(v)
 
 

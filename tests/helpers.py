@@ -19,7 +19,7 @@ from match_ybo.diagrams import (
     word_key,
     word_of_nation,
 )
-from match_ybo.errors import MalformedInputError, OrbitTooLargeError
+from match_ybo.errors import MalformedInputError
 from match_ybo.oracle import _EDGE_OFFSETS, fibre_scan
 from match_ybo.recipe import Germ, ParamPoint
 from match_ybo.ybe import TRIPLE_POLYS, entry_vector, eval_poly
@@ -47,7 +47,7 @@ def enumerate_configurations(n) -> list:
     the first county tagged "first".
     """
     if n > 8:
-        raise OrbitTooLargeError(f"refusing exhaustive generation for n={n}")
+        raise MalformedInputError(f"refusing exhaustive generation for n={n}")
 
     def nation_variants(block):
         out = []

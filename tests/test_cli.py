@@ -415,6 +415,13 @@ def test_enumerate_rejects_n_over_the_bound(capsys):
     assert "at most 10" in json.loads(out)["error"]
 
 
+def test_orbit_rejects_n_over_the_bound(capsys, tmp_path):
+    # the scan visits all n! relabellings; like the other limits, exit 2
+    config = {"n": 9, "nations": [{"counties": [{"vertices": list(range(1, 10)), "part": "first"}]}]}
+    rc, out = run(capsys, "orbit", "--config", write(tmp_path, "config.json", config))
+    assert (rc, out) == (2, canonical({"error": "orbit needs n at most 8, got 9"}) + "\n")
+
+
 @pytest.mark.parametrize("argv", ["fibre --prime 23", "fibre --type /,/,/ --prime 10007"])
 def test_fibre_rejects_prime_over_the_bound(capsys, argv):
     # the all-slash fibre has (p - 1)^6 vectors: 23 would take minutes
@@ -450,6 +457,21 @@ def test_help_still_prints_usage(capsys):
     out = capsys.readouterr().out
     assert out.startswith("usage: match-ybo fibre")
     assert "3..19" in out  # the --prime bound
+
+
+@pytest.mark.parametrize("nations", [
+    [{"counties": [{"vertices": [1], "part": "second"}]}],
+    [{"counties": [{"vertices": [1, 2], "part": "first"}]},
+     {"counties": [{"vertices": [3], "part": "second"}]}],
+], ids=["one-nation", "two-nations"])
+def test_build_draws_beta_for_a_lone_second_county(capsys, tmp_path, nations):
+    # a nation whose only county is tagged "second" needs a beta too
+    config = {"n": sum(len(c["vertices"]) for nat in nations for c in nat["counties"]),
+              "nations": nations}
+    rc, out = run(capsys, "build", "--germ", write(tmp_path, "config.json", config))
+    assert rc == 0
+    rc, out = run(capsys, "verify", "--matrix", write(tmp_path, "m.json", json.loads(out)))
+    assert (rc, json.loads(out)["solution"]) == (0, True)
 
 
 def test_signature_config(capsys, tmp_path):

@@ -21,7 +21,7 @@ from match_ybo.diagrams import (
     word_key,
     word_of_nation,
 )
-from match_ybo.errors import MalformedInputError, OrbitTooLargeError
+from match_ybo.errors import MalformedInputError
 
 from helpers import (
     compose_perms,
@@ -176,8 +176,9 @@ def test_orbit_size_divides_group_order():
 
 
 def test_orbit_rejects_large_n():
+    # a limit on the input, like enumerate --n and fibre --prime: malformed input
     c = Configuration(9, (Nation((County(tuple(range(1, 10)), "first"),)),))
-    with pytest.raises(OrbitTooLargeError):
+    with pytest.raises(MalformedInputError, match="at most 8, got 9"):
         orbit(c)
 
 

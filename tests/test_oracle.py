@@ -240,6 +240,51 @@ def test_census_table_at_7():
     assert (summary["solutions"], summary["matches_family"]) == (17000, True)
 
 
+# Gauged census counts as polynomials in p, one per default type; the other
+# seven default types are empty.  README.md derives each as a count of germs.
+CENSUS_POLYNOMIALS = {
+    "0,0,0": lambda p: p - 1,
+    "0,/,/": lambda p: (p - 1) ** 3,
+    "0,+,+": lambda p: (p - 1) * (2 * p - 5),
+    "/,/,/": lambda p: (p - 1) ** 6,
+    "/,/,+": lambda p: (p - 1) ** 3 * (2 * p - 5),
+    "+,+,+": lambda p: (p - 1) * (4 * p - 11),
+}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_census_counts_are_the_germ_count_polynomials(p):
+    counts = {r["type"]: r["solutions"] for r in fibre_report(p)}
+    assert counts == {
+        ",".join(t): CENSUS_POLYNOMIALS.get(",".join(t), lambda p: 0)(p) for t in default_types()
+    }
+
+
+def test_census_verdicts_never_read_the_vertex_scalars():
+    # check_vector and the family rules read only the three blocks, so the
+    # hits of a scalar triple depend only on its candidate lists
+    rng = random.Random(0)
+    p = 7
+    verdicts = Counter()
+    for ftype in default_types():
+        rule = _family_rule(ftype)
+        hits = enumerate_fibre(ftype, p)
+        pools = [gauged_pool(label, p) for label in ftype]
+        vectors = rng.sample(hits, min(len(hits), 200)) + [
+            (0, 0, 0) + sum((rng.choice(pool) for pool in pools), ()) for _ in range(200)
+        ]
+        for vec in vectors:
+            moved = tuple(rng.randrange(p) for _ in range(3)) + vec[3:]
+            verdict = check_vector(vec, p)
+            assert check_vector(moved, p) == verdict, (ftype, vec, moved)
+            verdicts["check", verdict] += 1
+            if rule is not None:
+                verdict = rule(vec, p)
+                assert rule(moved, p) == verdict, (ftype, vec, moved)
+                verdicts["rule", verdict] += 1
+    assert len(verdicts) == 4 and min(verdicts.values()) > 50, verdicts
+
+
 def scanned_vectors(ftype, p):
     """Every vector the scan of a coarse fibre hands to check_vector, hit or not."""
     coarse = [coarsen(t) for t in ftype]

@@ -66,6 +66,21 @@ def _bound_names(node):
     return [(alias.asname or alias.name).split(".")[0] for alias in node.names]
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a name that another module needs is public: `from .m import _x` fails
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level or (node.module or "").split(".")[0] == "match_ybo":
+                private += [
+                    f"{path.name}:{node.module}.{alias.name}"
+                    for alias in node.names if alias.name.startswith("_")
+                ]
+    assert private == []
+
+
 def test_every_import_is_read():
     # perfbench reads `match_ybo.classify` off the package root (ROADMAP item 1)
     exempt = {(SRC / "__init__.py", "classify")}
