@@ -23,7 +23,7 @@ from .diagrams import (
 from .errors import MatchYboError, MalformedInputError
 from .matchcat import matrix_from_json, matrix_to_json
 from .recipe import Germ, generic_point, germ_from_json, germ_to_json, rec
-from .scalars import format_scalar
+from .scalars import format_scalar, parse_int
 from .ybe import constraint_residuals, is_solution_by_subsets, ybe_residual_direct
 
 
@@ -50,6 +50,15 @@ def _load(path):
         raise MalformedInputError(f"{path}: {exc}") from exc
 
 
+def _int(text):
+    """An integer option, read by the rule for integer fields in files: ASCII
+    digits after an optional minus sign."""
+    try:
+        return parse_int(text)
+    except (MalformedInputError, ValueError):  # int() refuses overlong digit strings
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _seed(args):
     if args.seed is not None:
         return args.seed
@@ -57,8 +66,8 @@ def _seed(args):
     if env is None:
         return 0
     try:
-        return int(env)
-    except ValueError as exc:
+        return _int(env)
+    except argparse.ArgumentTypeError as exc:
         raise MalformedInputError(f"MATCH_YBO_SEED={env!r} is not an integer") from exc
 
 
@@ -232,14 +241,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list the transversal T_N")
-    p.add_argument("--n", type=int, required=True,
+    p.add_argument("--n", type=_int, required=True,
                    help=f"number of letters, 0..{ENUMERATE_MAX_N}")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("build", help="matrix of a germ (generic point when params omitted)")
     p.add_argument("--germ", required=True, help="germ or configuration JSON file")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int, default=None)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="check the braid relation")
@@ -266,9 +275,9 @@ def build_parser():
     p = sub.add_parser("fibre", help="finite-field fibre census")
     p.add_argument("--type", default=None, help='e.g. "0,+,+" (omit for the full report); '
                    'a type starting with "-" needs the form --type=-,+,+')
-    p.add_argument("--prime", type=int, default=11,
+    p.add_argument("--prime", type=_int, default=11,
                    help=f"an odd prime, 3..{FIBRE_MAX_PRIME}: the all-slash fibre has (p-1)^6 vectors")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int, default=1)
     p.set_defaults(func=cmd_fibre)
 
     p = sub.add_parser("selftest", help="run the acceptance checks")

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .errors import MalformedInputError
 
-_SCALAR_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
-_INT_RE = re.compile(r"-?\d+")
+_SCALAR_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 def parse_int(value) -> int:

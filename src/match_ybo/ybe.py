@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import NamedTuple
 
 from .diagrams import Permutation
@@ -65,8 +66,16 @@ _A12, _B12, _C12, _D12 = 3, 4, 5, 6
 _A13, _B13, _C13, _D13 = 7, 8, 9, 10
 _A23, _B23, _C23, _D23 = 11, 12, 13, 14
 
+
+def _cubic(polys):
+    """`polys`, once every monomial is checked to be an index triple."""
+    if any(len(mono) != 3 for poly in polys for _, mono in poly):
+        raise ValueError("every monomial must be a product of three entries")
+    return polys
+
+
 # Each polynomial is a tuple of (coefficient, index-triple) monomials.
-TRIPLE_POLYS = (
+TRIPLE_POLYS = _cubic((
     ((1, (_A12, _A1, _A1)), (-1, (_A12, _A12, _A1)), (-1, (_A12, _B12, _C12))),
     ((1, (_A12, _A2, _A2)), (-1, (_A12, _A12, _A2)), (-1, (_A12, _B12, _C12))),
     ((1, (_A12, _C12, _D12)),),
@@ -80,7 +89,7 @@ TRIPLE_POLYS = (
         (-1, (_A12, _B23, _C23)),
         (1, (_A12, _B13, _C13)),
     ),
-)
+))
 
 # Pair layout (a1, a2, a, b, c, d); the relations a 2-letter solution obeys
 # are the first five, which touch only a1, a2 and the 12 block.
@@ -92,10 +101,13 @@ PAIR_POLYS = tuple(
 
 
 def _clear_denominators(m):
-    """(lam, lam*m), lam the lcm of m's denominators; lam*m has int entries."""
+    """(lam, lam*m), lam the lcm of m's denominators; lam*m has int entries.
+    A matrix whose entries are all ints is returned as it is, with lam = 1."""
     entries = list(m.vertices)
     for blk in m.edges.values():
         entries.extend(blk)
+    if all(type(x) is int for x in entries):
+        return 1, m
     lam = math.lcm(*(x.denominator for x in entries))
 
     def scale(x):
@@ -107,11 +119,8 @@ def _clear_denominators(m):
 
 def eval_poly(poly, v):
     total = 0
-    for coeff, mono in poly:
-        term = coeff
-        for idx in mono:
-            term *= v[idx]
-        total += term
+    for coeff, (i, j, k) in poly:
+        total += coeff * v[i] * v[j] * v[k]
     return total
 
 
@@ -140,6 +149,24 @@ TRIPLE_PERMS, TRIPLE_REINDEX = _reindex_maps(3)
 PAIR_PERMS, PAIR_REINDEX = _reindex_maps(2)
 
 
+def _getters(perms, reindex):
+    """(permutation images, getter) pairs; getter(v) is v reindexed by the permutation."""
+    return tuple((perm.images, itemgetter(*src)) for perm, src in zip(perms, reindex))
+
+
+_TRIPLE_GETTERS = _getters(TRIPLE_PERMS, TRIPLE_REINDEX)
+_PAIR_GETTERS = _getters(PAIR_PERMS, PAIR_REINDEX)
+
+
+def _triple_vectors(m):
+    """(letters, entry_vector(restrict(m, letters))) for every 3-subset of
+    letters, read straight off m: the three vertices, then the blocks
+    (i,j), (i,k), (j,k)."""
+    vs, es = m.vertices, m.edges
+    for i, j, k in combinations(range(1, m.n + 1), 3):
+        yield (i, j, k), (vs[i - 1], vs[j - 1], vs[k - 1], *es[i, j], *es[i, k], *es[j, k])
+
+
 def constraint_residuals(m) -> ResidualReport:
     """Constraint-system route: all relation images on all 3-subsets.
 
@@ -147,24 +174,18 @@ def constraint_residuals(m) -> ResidualReport:
     sorted, at most MAX_WITNESSES kept.
     """
     lam, m = _clear_denominators(m)
-    witnesses = []
     if m.n == 2:
-        v = entry_vector(m)
-        for perm, src in zip(PAIR_PERMS, PAIR_REINDEX):
-            w = tuple(v[s] for s in src)
-            for k, poly in enumerate(PAIR_POLYS, start=1):
+        groups, getters, polys = [((1, 2), entry_vector(m))], _PAIR_GETTERS, PAIR_POLYS
+    else:
+        groups, getters, polys = _triple_vectors(m), _TRIPLE_GETTERS, TRIPLE_POLYS
+    witnesses = []
+    for letters, v in groups:
+        for images, reindexed in getters:
+            w = reindexed(v)
+            for k, poly in enumerate(polys, start=1):
                 val = eval_poly(poly, w)
                 if val != 0:
-                    witnesses.append(((1, 2), perm.images, k, val))
-    elif m.n >= 3:
-        for letters in combinations(range(1, m.n + 1), 3):
-            v = entry_vector(restrict(m, letters))
-            for perm, src in zip(TRIPLE_PERMS, TRIPLE_REINDEX):
-                w = tuple(v[s] for s in src)
-                for k, poly in enumerate(TRIPLE_POLYS, start=1):
-                    val = eval_poly(poly, w)
-                    if val != 0:
-                        witnesses.append((letters, perm.images, k, val))
+                    witnesses.append((letters, images, k, val))
     witnesses.sort()
     kept = tuple(
         (letters, images, k, Fraction(val, lam**3))

@@ -301,6 +301,50 @@ def test_germ_keys_are_strict(capsys, tmp_path, table, keys):
     assert "error" in json.loads(out)
 
 
+# "\u0663" (Arabic-Indic three) and "\uff12" (fullwidth two) are Unicode
+# digits: int() and the regex class \d both read them as numbers.
+@pytest.mark.parametrize("command, data", [
+    ("verify --matrix", {"n": 2, "vertices": ["\u0663", "1"], "edges": [SWAP_EDGE]}),
+    ("verify --matrix", {"n": 2, "vertices": ["1", "1"], "edges": [dict(SWAP_EDGE, j="\uff12")]}),
+    ("classify --matrix", {"n": "\uff12", "vertices": ["1", "1"], "edges": [SWAP_EDGE]}),
+    ("classify --matrix", {"n": 2, "vertices": ["1", "1"], "edges": [dict(SWAP_EDGE, b="1/1\u0663")]}),
+    ("build --germ", {"n": 2, "nations": [{"counties": [{"vertices": [1, "\uff12"], "part": "first"}]}]}),
+    ("build --germ", dict(TWO_LETTER_NATIONS, alpha={"1": "5", "\uff12": "3"}, beta={}, mu={"1,2": "7"})),
+    ("build --germ", dict(TWO_LETTER_NATIONS, alpha={"1": "5", "2": "3"}, beta={}, mu={"1,\u0662": "7"})),
+    ("build --germ", dict(TWO_LETTER_NATIONS, alpha={"1": "\u0665", "2": "3"}, beta={}, mu={"1,2": "7"})),
+], ids=["vertex", "edge-j", "n", "scalar-denominator", "county-vertex", "alpha-key", "mu-key",
+        "alpha-value"])
+def test_non_ascii_digits_exit_2(capsys, tmp_path, command, data):
+    rc, out = run(capsys, *command.split(), write(tmp_path, "input.json", data))
+    assert rc == 2
+    assert "bad integer" in out or "bad scalar" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "\u0662"],
+    ["enumerate", "--n", "+2"],
+    ["enumerate", "--n", "2 "],
+    ["fibre", "--type", "0,0,0", "--prime", "1_1"],
+    ["fibre", "--type", "0,0,0", "--prime", "\uff15"],
+    ["fibre", "--type", "0,0,0", "--prime", "5", "--jobs", "\u0661"],
+    ["build", "--germ", "{config}", "--seed", "1_0"],
+    ["build", "--germ", "{config}", "--seed", "9" * 5000],
+])
+def test_integer_options_follow_the_file_rule(capsys, tmp_path, argv):
+    # the rule of integer fields in files: ASCII digits after an optional minus
+    config = write(tmp_path, "config.json", TWO_LETTER_NATIONS)
+    rc, out = run(capsys, *[arg.format(config=config) for arg in argv])
+    assert (rc, set(json.loads(out))) == (2, {"error"})
+    assert f"argument {argv[-2]}: invalid int value" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("env", [" 1_0", "\u0661", "+1", "1 "])
+def test_seed_variable_follows_the_file_rule(capsys, tmp_path, monkeypatch, env):
+    monkeypatch.setenv("MATCH_YBO_SEED", env)
+    rc, out = run(capsys, "build", "--germ", write(tmp_path, "config.json", TWO_LETTER_NATIONS))
+    assert (rc, json.loads(out)) == (2, {"error": f"MATCH_YBO_SEED={env!r} is not an integer"})
+
+
 @pytest.mark.parametrize("table, entries", [("beta", {"1": "2"}), ("mu", {"1,2": "5"}),
                                             ("mu_sq", {"1,2": "5"})])
 def test_germ_without_alpha_is_not_a_configuration(capsys, tmp_path, table, entries):

@@ -15,7 +15,8 @@ def test_parse_basics():
     assert parse_scalar(4) == 4
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "1/-2", "a", "1.5", "2 /3", "+3", "1/00", "1\n", "1/2\n"])
+@pytest.mark.parametrize("bad", ["", "1/0", "1/-2", "a", "1.5", "2 /3", "+3", "1/00", "1\n", "1/2\n",
+                                 "\u0663", "1/\uff12", "\uff11/2"])
 def test_parse_rejects(bad):
     with pytest.raises(MalformedInputError):
         parse_scalar(bad)
@@ -32,7 +33,8 @@ def test_parse_int():
     assert parse_int("-12") == -12
 
 
-@pytest.mark.parametrize("bad", [True, False, 2.0, 2.5, "2.0", "1/1", "", " 3", None, [1], "3\n"])
+@pytest.mark.parametrize("bad", [True, False, 2.0, 2.5, "2.0", "1/1", "", " 3", None, [1], "3\n",
+                                 "\u0663", "-\uff12", "1_0"])
 def test_parse_int_rejects(bad):
     with pytest.raises(MalformedInputError):
         parse_int(bad)

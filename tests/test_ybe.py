@@ -1,6 +1,10 @@
 import random
+import types
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +21,7 @@ from match_ybo.matchcat import (
     to_sparse,
 )
 from match_ybo.recipe import Germ, ParamPoint, generic_point, rec
+from match_ybo import ybe
 from match_ybo.ybe import (
     MAX_WITNESSES,
     PAIR_PERMS,
@@ -266,3 +271,51 @@ def test_routes_are_cubic_homogeneous(m, lam):
         assert lrep.zero == rep.zero
         assert [w[:-1] for w in lrep.witnesses] == [w[:-1] for w in rep.witnesses]
         assert [w[-1] for w in lrep.witnesses] == [lam**3 * w[-1] for w in rep.witnesses]
+
+
+# -- what the two 3-subset loops read off the matrix ------------------------
+
+
+@st.composite
+def random_rational_matrices(draw, sizes):
+    n = draw(sizes)
+    return from_entries(n, [draw(RATIONAL) for _ in range(n + 4 * len(edge_pairs(n)))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_rational_matrices(st.integers(3, 7)))
+def test_triple_vectors_are_the_restrictions(m):
+    subsets = list(combinations(range(1, m.n + 1), 3))
+    assert [letters for letters, _ in ybe._triple_vectors(m)] == subsets
+    for letters, v in ybe._triple_vectors(m):
+        assert v == entry_vector(restrict(m, letters))
+    rep = constraint_residuals(m)
+    assert (rep.zero, rep.witnesses) == reference_constraints(m)
+
+
+def test_clear_denominators_keeps_an_int_matrix():
+    m = matrix((1, 2, 3), {(1, 2): (4, 5, 6, 7), (1, 3): (8, 9, 0, 1), (2, 3): (2, 3, 4, 5)})
+    ints = MatchMatrix2(3, tuple(map(int, m.vertices)),
+                        {pair: EdgeBlock(*map(int, blk)) for pair, blk in m.edges.items()})
+    lam, cleared = ybe._clear_denominators(ints)
+    assert lam == 1 and cleared is ints
+    lam, cleared = ybe._clear_denominators(m)  # Fraction(k, 1) entries
+    assert (lam, cleared) == (1, ints)
+    assert all(type(x) is int for x in entries(cleared))
+    half = from_entries(3, [x / 2 for x in entries(m)])
+    lam, cleared = ybe._clear_denominators(half)
+    assert (lam, cleared) == (2, m)
+    assert all(type(x) is int for x in entries(cleared))
+
+
+def test_a_monomial_that_is_not_cubic_raises_at_import():
+    path = Path(ybe.__file__)
+    source = path.read_text()
+    cubic = "((1, (_A12, _C12, _D12)),),"
+    assert source.count(cubic) == 1
+    for broken in ("((1, (_A12, _C12)),),", "((1, (_A12, _C12, _D12, _A1)),),"):
+        module = types.ModuleType("match_ybo._ybe_variant")
+        module.__package__ = "match_ybo"
+        code = compile(source.replace(cubic, broken), str(path), "exec")
+        with pytest.raises(ValueError, match="three entries"):
+            exec(code, vars(module))
