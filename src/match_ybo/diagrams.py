@@ -129,6 +129,8 @@ class Configuration(namedtuple("Configuration", "n nations")):
     __slots__ = ()
 
     def __init__(self, n, nations):
+        if n < 0:
+            raise MalformedInputError(f"n must be nonnegative, got {n}")
         seen = []
         for nat in nations:
             if not nat.counties:

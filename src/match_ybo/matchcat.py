@@ -19,7 +19,6 @@ letter positions.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
@@ -133,49 +132,36 @@ def invertible(m) -> bool:
     )
 
 
-class SparseOp(namedtuple("SparseOp", "n level entries")):
-    """Sparse operator at a fixed level: entries keyed by (row word, col word)."""
+class SparseOp(NamedTuple):
+    """Sparse operator at a fixed level: entries keyed by (row word, col word).
 
-    __slots__ = ()
+    Only nonzero entries are stored, so an empty dict is the zero operator.
+    Every builder below keeps that invariant; none checks its operands, which
+    come from to_sparse and identity_op of an already checked matrix.
+    """
 
-    def __init__(self, n, level, entries):
-        for row, col in entries:
-            if len(row) != level or len(col) != level:
-                raise MalformedInputError(f"word length mismatch at {(row, col)}")
-
-    @property
-    def is_zero(self):
-        return all(v == 0 for v in self.entries.values())
-
-    def nonzero_items(self):
-        return sorted(
-            ((r, c, v) for (r, c), v in self.entries.items() if v != 0),
-            key=lambda t: (t[0], t[1]),
-        )
+    n: int
+    level: int
+    entries: dict
 
 
-def identity_op(n, level=1) -> SparseOp:
-    words = itertools.product(range(1, n + 1), repeat=level)
-    return SparseOp(n, level, {(w, w): 1 for w in words})
+def identity_op(n) -> SparseOp:
+    return SparseOp(n, 1, {((i,), (i,)): 1 for i in range(1, n + 1)})
 
 
 def kron(s, t) -> SparseOp:
-    """Tensor product; the first factor owns the leading letter positions."""
-    if s.n != t.n:
-        raise MalformedInputError("alphabet mismatch")
-    entries = {}
-    for (r1, c1), v1 in s.entries.items():
-        for (r2, c2), v2 in t.entries.items():
-            v = v1 * v2
-            if v != 0:
-                entries[(r1 + r2, c1 + c2)] = v
+    """Tensor product; the first factor owns the leading letter positions.
+    A product of two nonzero ints or Fractions is never zero."""
+    entries = {
+        (r1 + r2, c1 + c2): v1 * v2
+        for (r1, c1), v1 in s.entries.items()
+        for (r2, c2), v2 in t.entries.items()
+    }
     return SparseOp(s.n, s.level + t.level, entries)
 
 
 def compose(s, t) -> SparseOp:
     """Matrix product s @ t."""
-    if s.n != t.n or s.level != t.level:
-        raise MalformedInputError("shape mismatch")
     by_row = {}
     for (r, c), v in t.entries.items():
         by_row.setdefault(r, []).append((c, v))
@@ -188,8 +174,6 @@ def compose(s, t) -> SparseOp:
 
 
 def sparse_sub(s, t) -> SparseOp:
-    if s.n != t.n or s.level != t.level:
-        raise MalformedInputError("shape mismatch")
     entries = dict(s.entries)
     for key, v in t.entries.items():
         entries[key] = entries.get(key, 0) - v

@@ -117,6 +117,14 @@ def _clear_denominators(m):
     return lam, MatchMatrix2(m.n, tuple(map(scale, m.vertices)), es)
 
 
+def _report(witnesses, lam, source) -> ResidualReport:
+    """The witness step of every route: sorted, the first MAX_WITNESSES
+    kept, each value (the last field) divided by lam^3."""
+    kept = sorted(witnesses)[:MAX_WITNESSES]
+    values = tuple((*w[:-1], Fraction(w[-1], lam**3)) for w in kept)
+    return ResidualReport(not kept, values, source)
+
+
 def eval_poly(poly, v):
     total = 0
     for coeff, (i, j, k) in poly:
@@ -186,12 +194,7 @@ def constraint_residuals(m) -> ResidualReport:
                 val = eval_poly(poly, w)
                 if val != 0:
                     witnesses.append((letters, images, k, val))
-    witnesses.sort()
-    kept = tuple(
-        (letters, images, k, Fraction(val, lam**3))
-        for letters, images, k, val in witnesses[:MAX_WITNESSES]
-    )
-    return ResidualReport(not witnesses, kept, "constraints")
+    return _report(witnesses, lam, "constraints")
 
 
 def ybe_residual_direct(m) -> ResidualReport:
@@ -204,13 +207,8 @@ def ybe_residual_direct(m) -> ResidualReport:
     one = identity_op(m.n)
     f1 = kron(s, one)
     f2 = kron(one, s)
-    lhs = compose(compose(f1, f2), f1)
-    rhs = compose(compose(f2, f1), f2)
-    diff = sparse_sub(lhs, rhs)
-    witnesses = tuple(
-        (row, col, Fraction(val, lam**3)) for row, col, val in diff.nonzero_items()[:MAX_WITNESSES]
-    )
-    return ResidualReport(diff.is_zero, witnesses, "direct")
+    diff = sparse_sub(compose(compose(f1, f2), f1), compose(compose(f2, f1), f2))
+    return _report([(*key, val) for key, val in diff.entries.items()], lam, "direct")
 
 
 def is_solution_by_subsets(m) -> ResidualReport:
@@ -220,21 +218,14 @@ def is_solution_by_subsets(m) -> ResidualReport:
     is the direct check itself.
     """
     if m.n < 3:
-        rep = ybe_residual_direct(m)
-        return ResidualReport(rep.zero, rep.witnesses, "subsets")
+        return ybe_residual_direct(m)._replace(source="subsets")
     lam, m = _clear_denominators(m)
-    witnesses = []
-    for letters in combinations(range(1, m.n + 1), 3):
-        rep = ybe_residual_direct(restrict(m, letters))
-        for row, col, val in rep.witnesses:
-            witnesses.append((
-                tuple(letters[t - 1] for t in row),
-                tuple(letters[t - 1] for t in col),
-                val,
-            ))
-    witnesses.sort()
-    kept = tuple((row, col, Fraction(val, lam**3)) for row, col, val in witnesses[:MAX_WITNESSES])
-    return ResidualReport(not witnesses, kept, "subsets")
+    witnesses = [
+        (tuple(letters[t - 1] for t in row), tuple(letters[t - 1] for t in col), val)
+        for letters in combinations(range(1, m.n + 1), 3)
+        for row, col, val in ybe_residual_direct(restrict(m, letters)).witnesses
+    ]
+    return _report(witnesses, lam, "subsets")
 
 
 def is_solution(m) -> bool:

@@ -466,6 +466,16 @@ def test_orbit_rejects_n_over_the_bound(capsys, tmp_path):
     assert (rc, out) == (2, canonical({"error": "orbit needs n at most 8, got 9"}) + "\n")
 
 
+@pytest.mark.parametrize("command", ["signature --config", "orbit --config", "build --germ"])
+def test_negative_n_exits_2(capsys, tmp_path, command):
+    path = write(tmp_path, "config.json", {"n": -2, "nations": []})
+    rc = main([*command.split(), path])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (
+        2, canonical({"error": "n must be nonnegative, got -2"}) + "\n", ""
+    )
+
+
 @pytest.mark.parametrize("argv", ["fibre --prime 23", "fibre --type /,/,/ --prime 10007"])
 def test_fibre_rejects_prime_over_the_bound(capsys, argv):
     # the all-slash fibre has (p - 1)^6 vectors: 23 would take minutes

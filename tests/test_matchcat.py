@@ -6,7 +6,6 @@ from match_ybo.diagrams import Permutation
 from match_ybo.errors import MalformedInputError
 from match_ybo.matchcat import (
     MatchMatrix2,
-    SparseOp,
     act_flip,
     act_perm,
     compose,
@@ -135,7 +134,7 @@ def test_x_equivalent_distinguishes():
 def test_inverse_round_trip():
     m = sample()
     assert invertible(m)
-    assert compose(to_sparse(m), to_sparse(inverse(m))) == identity_op(3, 2)
+    assert compose(to_sparse(m), to_sparse(inverse(m))) == kron(identity_op(3), identity_op(3))
 
 
 def test_inverse_names_singular_part():
@@ -159,20 +158,12 @@ def test_kron_convention():
 
 
 def test_compose_and_sub():
-    i2 = identity_op(2, 2)
+    i2 = kron(identity_op(2), identity_op(2))
     m = to_sparse(matrix((1, 1), {(1, 2): (0, 1, 1, 0)}))
     assert compose(m, m) == i2
-    assert sparse_sub(m, m).is_zero
-    assert not sparse_sub(m, i2).is_zero
+    assert sparse_sub(m, m).entries == {}
     # vertex entries cancel; the first surviving difference is on the pair span
-    assert sparse_sub(m, i2).nonzero_items()[0] == ((1, 2), (1, 2), Fraction(-1))
-
-
-def test_sparse_validation():
-    with pytest.raises(MalformedInputError):
-        SparseOp(2, 2, {((1,), (1, 2)): Fraction(1)})
-    with pytest.raises(MalformedInputError):
-        kron(sparse(2, 1, {}), sparse(3, 1, {}))
+    assert sorted(sparse_sub(m, i2).entries.items())[0] == (((1, 2), (1, 2)), Fraction(-1))
 
 
 def test_charge_conserving():

@@ -53,7 +53,6 @@ REJECTED = {
     "vertex count mismatch": lambda: MatchMatrix2(
         3, (Fraction(1),) * 2, {(1, 2): EdgeBlock(1, 0, 0, 1)}
     ),
-    "word length mismatch": lambda: SparseOp(2, 2, {((1,), (1, 2)): Fraction(1)}),
     "zero parameter": lambda: ParamPoint(mu={(1, 2): Fraction(0)}),
     "alpha + beta = 0": lambda: ParamPoint(alpha={1: Fraction(2)}, beta={1: Fraction(-2)}),
     "mismatched mu keys": lambda: Germ(

@@ -1,7 +1,7 @@
 import random
 import types
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -15,6 +15,7 @@ from match_ybo.matchcat import (
     SparseOp,
     compose,
     edge_pairs,
+    identity_op,
     kron,
     restrict,
     sparse_sub,
@@ -179,10 +180,10 @@ def from_entries(n, values):
 
 
 @st.composite
-def rational_matrices(draw):
+def rational_matrices(draw, max_n=5):
     """Random rational matrices; rec at rational points, X-rescaled by
     rational factors; and one-entry corruptions of those."""
-    n = draw(st.integers(2, 5))
+    n = draw(st.integers(2, max_n))
     kind = draw(st.sampled_from(("random", "rec", "corrupted")))
     if kind == "random":
         return from_entries(n, [draw(RATIONAL) for _ in range(n + 4 * len(edge_pairs(n)))])
@@ -230,7 +231,7 @@ def reference_direct(m):
     one = SparseOp(m.n, 1, {((i,), (i,)): Fraction(1) for i in range(1, m.n + 1)})
     f1, f2 = kron(s, one), kron(one, s)
     diff = sparse_sub(compose(compose(f1, f2), f1), compose(compose(f2, f1), f2))
-    items = diff.nonzero_items()
+    items = sorted((row, col, val) for (row, col), val in diff.entries.items())
     return not items, tuple(items[:MAX_WITNESSES])
 
 
@@ -260,6 +261,52 @@ def test_routes_match_fraction_reference(m):
         rep = route(m)
         assert (rep.zero, rep.witnesses) == reference(m), route.__name__
         assert all(type(w[-1]) is Fraction for w in rep.witnesses)
+
+
+def dense_direct(m):
+    """The direct route from its definition, with no sparse kernel: dense F1
+    and F2 over the n^3 level-3 words, F1[abc, def] = S[ab, de] d(c, f) and
+    F2[abc, def] = d(a, d) S[bc, ef], then F1 F2 F1 - F2 F1 F2."""
+    n = m.n
+    s = {((i, i), (i, i)): m.vertices[i - 1] for i in range(1, n + 1)}
+    for (i, j), (a, b, c, d) in m.edges.items():
+        s.update({((i, j), (i, j)): a, ((i, j), (j, i)): b, ((j, i), (i, j)): c, ((j, i), (j, i)): d})
+    words = list(product(range(1, n + 1), repeat=3))
+    zero = Fraction(0)
+    f1 = [[s.get((r[:2], c[:2]), zero) * (r[2] == c[2]) for c in words] for r in words]
+    f2 = [[s.get((r[1:], c[1:]), zero) * (r[0] == c[0]) for c in words] for r in words]
+
+    def mul(x, y):
+        cols = list(zip(*y))
+        return [[sum(p * q for p, q in zip(row, col)) for col in cols] for row in x]
+
+    lhs, rhs = mul(mul(f1, f2), f1), mul(mul(f2, f1), f2)
+    items = sorted(
+        (r, c, lhs[i][j] - rhs[i][j])
+        for i, r in enumerate(words)
+        for j, c in enumerate(words)
+        if lhs[i][j] != rhs[i][j]
+    )
+    return not items, tuple(items[:MAX_WITNESSES])
+
+
+@settings(max_examples=25, deadline=None)
+@given(rational_matrices(max_n=3))
+def test_direct_route_matches_dense_definition(m):
+    rep = ybe_residual_direct(m)
+    assert (rep.zero, rep.witnesses) == dense_direct(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_matrices())
+def test_sparse_operators_store_no_zero(m):
+    for mat in (m, ybe._clear_denominators(m)[1]):
+        s, one = to_sparse(mat), identity_op(mat.n)
+        f1, f2 = kron(s, one), kron(one, s)
+        lhs = compose(compose(f1, f2), f1)
+        rhs = compose(compose(f2, f1), f2)
+        for op in (s, one, f1, f2, lhs, rhs, compose(s, s), sparse_sub(lhs, rhs), sparse_sub(s, s)):
+            assert all(v != 0 for v in op.entries.values())
 
 
 @settings(max_examples=40, deadline=None)
