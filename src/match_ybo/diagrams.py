@@ -145,7 +145,7 @@ class Configuration(namedtuple("Configuration", "n nations")):
                 seen.extend(c.vertices)
             if len(parts) > 2:
                 raise MalformedInputError("more than two parts in a nation")
-        if sorted(seen) != list(range(1, n + 1)):
+        if len(seen) != n or sorted(seen) != list(range(1, n + 1)):
             raise MalformedInputError(f"counties must partition 1..{n}")
 
 

@@ -170,7 +170,9 @@ def compose(s, t) -> SparseOp:
         for c, v2 in by_row.get(mid, ()):
             key = (r, c)
             entries[key] = entries.get(key, 0) + v1 * v2
-    return SparseOp(s.n, s.level, {k: v for k, v in entries.items() if v != 0})
+    if 0 in entries.values():
+        entries = {k: v for k, v in entries.items() if v != 0}
+    return SparseOp(s.n, s.level, entries)
 
 
 def sparse_sub(s, t) -> SparseOp:

@@ -476,6 +476,18 @@ def test_negative_n_exits_2(capsys, tmp_path, command):
     )
 
 
+@pytest.mark.parametrize("command", ["signature --config", "orbit --config", "build --germ", "signature --germ"])
+def test_huge_n_exits_2_before_allocating(capsys, tmp_path, command):
+    # n is compared with the number of listed vertices before 1..n is built
+    n = 10**30
+    path = write(tmp_path, "config.json", {"n": n, "nations": []})
+    rc = main([*command.split(), path])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (
+        2, canonical({"error": f"counties must partition 1..{n}"}) + "\n", ""
+    )
+
+
 @pytest.mark.parametrize("argv", ["fibre --prime 23", "fibre --type /,/,/ --prime 10007"])
 def test_fibre_rejects_prime_over_the_bound(capsys, argv):
     # the all-slash fibre has (p - 1)^6 vectors: 23 would take minutes

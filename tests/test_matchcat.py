@@ -166,6 +166,13 @@ def test_compose_and_sub():
     assert sorted(sparse_sub(m, i2).entries.items())[0] == (((1, 2), (1, 2)), Fraction(-1))
 
 
+def test_compose_drops_entries_that_cancel():
+    # [[1, 1], [1, -1]] squared is 2*I on the span of (12), (21): both
+    # off-diagonal sums are 1 - 1, and neither zero is stored
+    h = to_sparse(matrix((0, 0), {(1, 2): (1, 1, 1, -1)}))
+    assert compose(h, h).entries == {((1, 2), (1, 2)): 2, ((2, 1), (2, 1)): 2}
+
+
 def test_charge_conserving():
     assert charge_conserving(to_sparse(sample()))
     off = sparse(2, 2, {((1, 1), (2, 2)): 1})

@@ -149,6 +149,19 @@ def test_rec_outputs_solve_every_route():
             assert is_solution_by_subsets(m).zero
 
 
+def test_direct_route_composes_three_times(monkeypatch):
+    # F1F2 is formed once and used on both sides of the braid relation
+    calls = []
+
+    def counted(s, t):
+        calls.append((s.level, t.level))
+        return compose(s, t)
+
+    monkeypatch.setattr(ybe, "compose", counted)
+    assert ybe_residual_direct(swap_solution(4)).zero
+    assert calls == [(3, 3)] * 3
+
+
 def test_report_truthiness():
     good = ybe_residual_direct(swap_solution(2))
     assert good
@@ -230,6 +243,7 @@ def reference_direct(m):
     s = to_sparse(m)
     one = SparseOp(m.n, 1, {((i,), (i,)): Fraction(1) for i in range(1, m.n + 1)})
     f1, f2 = kron(s, one), kron(one, s)
+    # deliberately (F1F2)F1 - (F2F1)F2, not the route's shared-product form
     diff = sparse_sub(compose(compose(f1, f2), f1), compose(compose(f2, f1), f2))
     items = sorted((row, col, val) for (row, col), val in diff.entries.items())
     return not items, tuple(items[:MAX_WITNESSES])
@@ -263,6 +277,20 @@ def test_routes_match_fraction_reference(m):
         assert all(type(w[-1]) is Fraction for w in rep.witnesses)
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_routes_match_fraction_reference_on_rec_outputs(n):
+    rng = random.Random(n)
+    for config in rng.sample(enumerate_transversal(n), 2):
+        m = rec(Germ(config, generic_point(config, seed=n)))
+        values = entries(m)
+        values[rng.randrange(len(values))] += Fraction(1, 3)
+        for mat in (m, from_entries(n, values)):
+            assert all(type(x) is Fraction for x in entries(mat))
+            for route, reference in ROUTES:
+                rep = route(mat)
+                assert (rep.zero, rep.witnesses) == reference(mat), route.__name__
+
+
 def dense_direct(m):
     """The direct route from its definition, with no sparse kernel: dense F1
     and F2 over the n^3 level-3 words, F1[abc, def] = S[ab, de] d(c, f) and
@@ -280,6 +308,7 @@ def dense_direct(m):
         cols = list(zip(*y))
         return [[sum(p * q for p, q in zip(row, col)) for col in cols] for row in x]
 
+    # deliberately (F1F2)F1 - (F2F1)F2, not the route's shared-product form
     lhs, rhs = mul(mul(f1, f2), f1), mul(mul(f2, f1), f2)
     items = sorted(
         (r, c, lhs[i][j] - rhs[i][j])
