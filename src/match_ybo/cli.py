@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .classify import classify
@@ -59,18 +58,6 @@ def _int(text):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("MATCH_YBO_SEED")
-    if env is None:
-        return 0
-    try:
-        return _int(env)
-    except argparse.ArgumentTypeError as exc:
-        raise MalformedInputError(f"MATCH_YBO_SEED={env!r} is not an integer") from exc
-
-
 def _config_text(config):
     bits = []
     for nat in config.nations:
@@ -116,7 +103,7 @@ def _load_germ(path, seed):
 
 
 def cmd_build(args):
-    germ = _load_germ(args.germ, _seed(args))
+    germ = _load_germ(args.germ, args.seed)
     emit(matrix_to_json(rec(germ)))
     return 0
 
@@ -204,14 +191,12 @@ def cmd_orbit(args):
 def cmd_fibre(args):
     from .oracle import fibre_report, fibre_summary
 
-    if args.jobs < 1:
-        raise MalformedInputError(f"--jobs must be at least 1, got {args.jobs}")
     if args.prime > FIBRE_MAX_PRIME:
         raise MalformedInputError(f"--prime must be at most {FIBRE_MAX_PRIME}, got {args.prime}")
     if args.type:
         emit(fibre_summary(args.type, args.prime))
     else:
-        emit(fibre_report(args.prime, jobs=args.jobs))
+        emit(fibre_report(args.prime))
     return 0
 
 
@@ -248,7 +233,7 @@ def build_parser():
 
     p = sub.add_parser("build", help="matrix of a germ (generic point when params omitted)")
     p.add_argument("--germ", required=True, help="germ or configuration JSON file")
-    p.add_argument("--seed", type=_int, default=None)
+    p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="check the braid relation")
@@ -277,7 +262,6 @@ def build_parser():
                    'a type starting with "-" needs the form --type=-,+,+')
     p.add_argument("--prime", type=_int, default=11,
                    help=f"an odd prime, 3..{FIBRE_MAX_PRIME}: the all-slash fibre has (p-1)^6 vectors")
-    p.add_argument("--jobs", type=_int, default=1)
     p.set_defaults(func=cmd_fibre)
 
     p = sub.add_parser("selftest", help="run the acceptance checks")

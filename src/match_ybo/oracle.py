@@ -122,17 +122,13 @@ def _vertices_ok(ftype, scalars):
     return True
 
 
-def _check_prime(p):
-    if p == 2:
-        raise MalformedInputError("p = 2 degenerates the sign structure")
-    if not _is_prime(p):
-        raise MalformedInputError(f"{p} is not prime")
-
-
 def fibre_scan(ftype, prime):
     """Yield every gauged hit of the fibre over F_prime."""
     ftype = parse_fibre_type(ftype)
-    _check_prime(prime)
+    if prime == 2:
+        raise MalformedInputError("p = 2 degenerates the sign structure")
+    if not _is_prime(prime):
+        raise MalformedInputError(f"{prime} is not prime")
     coarse = tuple(coarsen(t) for t in ftype)
     nz = range(1, prime)
     for scalars in product(nz, repeat=3):
@@ -211,10 +207,6 @@ def fibre_summary(ftype, prime):
     }
 
 
-def _summary_job(args):
-    return fibre_summary(*args)
-
-
 def default_types():
     """Minimal representative of each coarse orbit, in orbit order."""
     reps = []
@@ -224,16 +216,6 @@ def default_types():
     return tuple(reps)
 
 
-def fibre_report(prime, types=None, jobs=1):
-    """Fibre summaries for a list of types (default: one per orbit); each
-    summary parses its own type."""
-    _check_prime(prime)
-    if types is None:
-        types = default_types()
-    jobs = min(jobs, len(types))  # a pool forks all its workers up front
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_summary_job, [(t, prime) for t in types]))
-    return [fibre_summary(t, prime) for t in types]
+def fibre_report(prime):
+    """Fibre summaries, one per orbit; each scan checks the prime."""
+    return [fibre_summary(t, prime) for t in default_types()]

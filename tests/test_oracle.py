@@ -1,4 +1,3 @@
-import concurrent.futures
 import random
 from collections import Counter, defaultdict
 from itertools import product
@@ -129,40 +128,6 @@ def test_default_types_cover_orbits():
     assert len(types) == 13
     assert types[0] == ("0", "0", "0")
     assert all(len(t) == 3 for t in types)
-
-
-def test_fibre_report_serial_and_parallel_agree():
-    types = [("0", "0", "0"), ("0", "0", "/"), ("/", "/", "/")]
-    serial = fibre_report(5, types=types)
-    parallel = fibre_report(5, types=types, jobs=2)
-    assert serial == parallel
-    assert [r["solutions"] for r in serial] == [4, 0, 4096]
-
-
-def test_fibre_report_caps_workers_at_the_type_count(monkeypatch):
-    # A pool forks all max_workers processes at the first submit, so the
-    # stand-in records the request and maps in this process.
-    requested = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    report = fibre_report(3, jobs=10**6)
-    assert requested == [13]  # one worker per fibre type
-    assert report == fibre_report(3, jobs=1)
-    fibre_report(3, types=[("0", "0", "0")], jobs=8)
-    assert requested == [13]  # a single type runs without a pool
 
 
 def test_refined_one_zero_two_plus_fibres():

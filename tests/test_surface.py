@@ -130,15 +130,27 @@ def test_cli_imports_only_what_its_command_runs(tmp_path):
     assert json.loads(proc.stdout) == [["import", []], ["classify", 0, []], ["verify", 0, []]]
 
 
+# Records are named tuples, every command runs in one process, and options
+# are the only settings: the library imports none of these modules and reads
+# no environment variable.
+NEVER_IMPORTED = {"dataclasses", "concurrent", "multiprocessing", "subprocess", "threading"}
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
 def test_no_dataclasses_in_the_library():
-    imported = set()
-    for path in SRC.glob("*.py"):
+    imported, env_reads = set(), []
+    for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 imported.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.module:
                 imported.add(node.module.split(".")[0])
-    assert "dataclasses" not in imported
+                env_reads += [f"{path.name}:{alias.name}" for alias in node.names
+                              if alias.name in ENVIRONMENT_READERS]
+            elif isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS:
+                env_reads.append(f"{path.name}:{node.attr}")
+    assert imported & NEVER_IMPORTED == set()
+    assert env_reads == []
 
 
 def test_no_class_defines_value_dunders():
