@@ -27,7 +27,7 @@ from .diagrams import (
     Permutation,
     configuration_perm,
 )
-from .errors import InadmissibleEdgeError, MalformedInputError, NotASolutionError
+from .errors import MalformedInputError, NotASolutionError
 from .matchcat import (
     EdgeBlock,
     MatchMatrix2,
@@ -98,7 +98,7 @@ FINE_LABEL = {
 
 
 def label_edge(m, i, j) -> EdgeLabelI:
-    """Fine label of edge (i, j), i < j; InadmissibleEdgeError otherwise.
+    """Fine label of edge (i, j), i < j; NotASolutionError otherwise.
 
     A zero block is moreover a scalar matrix carrying both vertex scalars."""
     if not 1 <= i < j <= m.n:
@@ -108,7 +108,7 @@ def label_edge(m, i, j) -> EdgeLabelI:
     coarse = _PATTERN_LABEL.get(tuple(map(bool, blk)))
     fine = FINE_LABEL.get((coarse, ai == aj))
     if fine is None or (fine is EdgeLabelI.ZERO and not blk.a == blk.d == ai):
-        raise InadmissibleEdgeError((i, j))
+        raise NotASolutionError(f"not labellable: inadmissible edge block {(i, j)}")
     return fine
 
 
@@ -144,20 +144,14 @@ def triple_key(triple):
 
 
 def orbit_of_triple(triple):
-    """Closure of one coarse triangle under letter permutations and flip."""
+    """Orbit of one coarse triangle under letter permutations and flip.
+
+    The flip commutes with every letter permutation, so the orbit is the
+    permutation images of the triangle and of its flip."""
     start = tuple(EdgeLabelH(t) for t in triple)
-    seen = {start}
-    frontier = [start]
-    perms = list(Permutation.all(3))
-    while frontier:
-        t = frontier.pop()
-        images = [triangle_perm(t, w) for w in perms]
-        images.append(triangle_flip(t))
-        for im in images:
-            if im not in seen:
-                seen.add(im)
-                frontier.append(im)
-    return frozenset(seen)
+    return frozenset(
+        triangle_perm(t, w) for t in (start, triangle_flip(start)) for w in Permutation.all(3)
+    )
 
 
 def g3_orbits():
@@ -274,10 +268,7 @@ def classify(m) -> Germ:
     """
     if not invertible(m):
         raise NotASolutionError("matrix is not invertible")
-    try:
-        labels = edge_labels(m)
-    except InadmissibleEdgeError as exc:
-        raise NotASolutionError(f"not labellable: {exc}") from exc
+    labels = edge_labels(m)
     try:
         germ = _read_germ(m, labels)
     except MalformedInputError:

@@ -115,8 +115,8 @@ _METHODS = {
 }
 
 
-def _witness_json(w, source):
-    if source == "constraints":
+def _witness_json(w, method):
+    if method == "constraints":
         letters, perm, relation, value = w
         return {
             "letters": list(letters),
@@ -132,19 +132,16 @@ def cmd_verify(args):
     m = matrix_from_json(_load(args.matrix))
     if args.method == "all":
         reports = [fn(m) for fn in _METHODS.values()]
-        verdicts = {r.zero for r in reports}
-        if len(verdicts) != 1:
+        if len({r.zero for r in reports}) != 1:
             emit({"error": "methods disagree; this is a bug"})
             return 1
-        rep = next(r for r in reports if not r.zero) if not verdicts.pop() else reports[0]
-        method = "all"
+        rep = reports[0]
     else:
         rep = _METHODS[args.method](m)
-        method = args.method
     emit({
         "solution": rep.zero,
-        "method": method,
-        "witnesses": [_witness_json(w, rep.source) for w in rep.witnesses],
+        "method": args.method,
+        "witnesses": [_witness_json(w, args.method) for w in rep.witnesses],
     })
     return 0 if rep.zero else 1
 

@@ -26,20 +26,20 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from .errors import IrrationalSpectrumError
 from .recipe import rec
 from .scalars import rational_sqrt
 
 
 def spectrum(m):
-    """All eigenvalues with multiplicity, sorted; exact rationals only."""
+    """All eigenvalues with multiplicity, sorted; None when some block's
+    eigenvalues are irrational."""
     values = list(m.vertices)
     for blk in m.edges.values():
         tr = blk.a + blk.d
         det = blk.a * blk.d - blk.b * blk.c
         root = rational_sqrt(tr * tr - 4 * det)
         if root is None:
-            raise IrrationalSpectrumError(tr, det)
+            return None
         values.append((tr + root) / 2)
         values.append((tr - root) / 2)
     return tuple(sorted(values))
@@ -102,8 +102,6 @@ def signature_check(germ) -> SignatureReport:
     irrational; both come back as a mismatch, not an error.
     """
     formula = signature_formula(germ.config)
-    try:
-        sampled = degeneracy_partition(spectrum(rec(germ)))
-    except IrrationalSpectrumError:
-        return SignatureReport(False, formula, None)
+    values = spectrum(rec(germ))
+    sampled = None if values is None else degeneracy_partition(values)
     return SignatureReport(sampled == formula, formula, sampled)

@@ -55,7 +55,6 @@ MAX_WITNESSES = 16
 class ResidualReport(NamedTuple):
     zero: bool
     witnesses: tuple
-    source: str
 
     def __bool__(self):
         return self.zero
@@ -118,12 +117,12 @@ def _clear_denominators(m):
     return lam, MatchMatrix2(m.n, tuple(map(scale, m.vertices)), es)
 
 
-def _report(witnesses, lam, source) -> ResidualReport:
+def _report(witnesses, lam) -> ResidualReport:
     """The witness step of every route: sorted, the first MAX_WITNESSES
     kept, each value (the last field) divided by lam^3."""
     kept = sorted(witnesses)[:MAX_WITNESSES]
     values = tuple((*w[:-1], Fraction(w[-1], lam**3)) for w in kept)
-    return ResidualReport(not kept, values, source)
+    return ResidualReport(not kept, values)
 
 
 def eval_poly(poly, v):
@@ -195,7 +194,7 @@ def constraint_residuals(m) -> ResidualReport:
                 val = eval_poly(poly, w)
                 if val != 0:
                     witnesses.append((letters, images, k, val))
-    return _report(witnesses, lam, "constraints")
+    return _report(witnesses, lam)
 
 
 def ybe_residual_direct(m) -> ResidualReport:
@@ -211,7 +210,7 @@ def ybe_residual_direct(m) -> ResidualReport:
     f1f2 = compose(f1, f2)
     # (F1F2)F1, not F1(F2F1): perfbench's level3_nnz hook counts this compose.
     diff = sparse_sub(compose(f1f2, f1), compose(f2, f1f2))
-    return _report([(*key, val) for key, val in diff.entries.items()], lam, "direct")
+    return _report([(*key, val) for key, val in diff.entries.items()], lam)
 
 
 def is_solution_by_subsets(m) -> ResidualReport:
@@ -221,14 +220,14 @@ def is_solution_by_subsets(m) -> ResidualReport:
     is the direct check itself.
     """
     if m.n < 3:
-        return ybe_residual_direct(m)._replace(source="subsets")
+        return ybe_residual_direct(m)
     lam, m = _clear_denominators(m)
     witnesses = [
         (tuple(letters[t - 1] for t in row), tuple(letters[t - 1] for t in col), val)
         for letters in combinations(range(1, m.n + 1), 3)
         for row, col, val in ybe_residual_direct(restrict(m, letters)).witnesses
     ]
-    return _report(witnesses, lam, "subsets")
+    return _report(witnesses, lam)
 
 
 def is_solution(m) -> bool:

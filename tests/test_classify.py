@@ -26,7 +26,7 @@ from match_ybo.diagrams import (
     configuration_perm,
     enumerate_transversal,
 )
-from match_ybo.errors import InadmissibleEdgeError, NotASolutionError
+from match_ybo.errors import NotASolutionError
 from match_ybo.matchcat import (
     EdgeBlock,
     MatchMatrix2,
@@ -77,14 +77,14 @@ def test_label_edge_cases():
 def test_label_edge_rejects():
     # b = c = 0 needs a = d = both vertex scalars, all nonzero
     m = matrix((1, 2), {(1, 2): (1, 0, 0, 1)})
-    with pytest.raises(InadmissibleEdgeError) as info:
+    with pytest.raises(NotASolutionError) as info:
         label_edge(m, 1, 2)
-    assert info.value.pair == (1, 2)
+    assert str(info.value) == "not labellable: inadmissible edge block (1, 2)"
     m = matrix((1, 1), {(1, 2): (1, 2, 0, 0)})  # only one of b, c zero
-    with pytest.raises(InadmissibleEdgeError):
+    with pytest.raises(NotASolutionError):
         label_edge(m, 1, 2)
     m = matrix((1, 1), {(1, 2): (2, 1, 1, 3)})  # both a, d nonzero with b, c
-    with pytest.raises(InadmissibleEdgeError):
+    with pytest.raises(NotASolutionError):
         label_edge(m, 1, 2)
 
 
@@ -120,11 +120,13 @@ def test_triangle_actions():
 
 
 def test_orbit_of_triple_closure():
-    orb = orbit_of_triple(("0", "+", "+"))
-    for t in orb:
-        assert triangle_flip(t) in orb
-        for w in Permutation.all(3):
-            assert triangle_perm(t, w) in orb
+    for triple in product(EdgeLabelH, repeat=3):
+        orb = orbit_of_triple(triple)
+        assert triple in orb
+        for t in orb:
+            assert triangle_flip(t) in orb
+            for w in Permutation.all(3):
+                assert triangle_perm(t, w) in orb
 
 
 def test_g3_orbits_partition():
@@ -391,7 +393,7 @@ def test_classify_rejects_label_mutations_with_a_witness():
 def all_labellable(m):
     try:
         edge_labels(m)
-    except InadmissibleEdgeError:
+    except NotASolutionError:
         return False
     return True
 

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -622,3 +623,62 @@ def test_cli_pool_bytes_are_pinned(capsys, tmp_path):
     for ftype in default_types():
         call("fibre", f"--type={','.join(ftype)}", "--prime", "5")
     assert digest.hexdigest() == CLI_POOL_SHA256
+
+
+# sha256 of the (exit code, stdout) sequence of the pool below, which reaches
+# what the pool above does not: each verify method alone, on the one-entry
+# corruptions of that pool and on random rational matrices; classify on
+# random matrices, many of them invertible with an inadmissible block; and
+# signature --germ on germs whose mu_sq products are mostly not squares.
+VERDICT_POOL_SHA256 = "f8e19947ec641b338b4ca4ba9f5bfcce883f13e037794b605f188511c8d27dd6"
+
+
+def test_verdict_pool_bytes_are_pinned(capsys, tmp_path):
+    digest = hashlib.sha256()
+    outs = []
+
+    def call(*argv):
+        rc, out = run(capsys, *argv)
+        digest.update(f"{rc}\n{out}".encode("ascii"))
+        outs.append((rc, out))
+
+    rng = random.Random(17)
+    values = [Fraction(v) for v in (0, 1, -1, 2, -2, 3, "1/2", "-3/2")]
+    matrices = []
+    for config in [c for n in range(1, 5) for c in enumerate_transversal(n)]:
+        m = matrix_to_json(rec(Germ(config, generic_point(config))))
+        if m["edges"]:
+            m["edges"][0]["b"] = str(Fraction(m["edges"][0]["b"]) + 1)
+        else:
+            m["vertices"][0] = str(Fraction(m["vertices"][0]) + 1)
+        matrices.append(m)
+    for n in range(1, 6):
+        for _ in range(6):
+            vs = [rng.choice(values) for _ in range(n)]
+            es = {(i, j): [rng.choice(values) for _ in range(4)]
+                  for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+            matrices.append(matrix_to_json(matrix(vs, es)))
+    for k, data in enumerate(matrices):
+        mpath = write(tmp_path, f"m{k}.json", data)
+        for method in ("direct", "constraints", "subsets", "all"):
+            call("verify", "--method", method, "--matrix", mpath)
+    nonzero = [v for v in values if v != 0]
+    for n in range(2, 6):
+        for k in range(8):
+            vs = [rng.choice(nonzero) for _ in range(n)]
+            es = {(i, j): [rng.choice(nonzero) if rng.random() < 0.8 else 0 for _ in range(4)]
+                  for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+            mpath = write(tmp_path, f"c{n}_{k}.json", matrix_to_json(matrix(vs, es)))
+            call("classify", "--matrix", mpath)
+    products = [Fraction(v) for v in (2, -1, 3, "2/3", -4, 4, "9/4")]
+    for config in [c for n in range(2, 5) for c in enumerate_transversal(n)]:
+        pp = generic_point(config)
+        if not pp.mu:
+            continue
+        mu_sq = {pair: rng.choice(products) for pair in pp.mu}
+        germ = Germ(config, pp._replace(mu={}, mu_sq=mu_sq))
+        call("signature", "--germ", write(tmp_path, "g.json", germ_to_json(germ)))
+    assert sum('"relation"' in out for _, out in outs) >= 50
+    assert sum("not labellable" in out for _, out in outs) >= 10
+    assert sum(rc == 1 and '"sampled":null' in out for rc, out in outs) >= 10
+    assert digest.hexdigest() == VERDICT_POOL_SHA256

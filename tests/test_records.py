@@ -43,7 +43,7 @@ RECORDS = {
     "SparseOp": sparse,
     "ParamPoint": params,
     "Germ": lambda: Germ(config(), params()),
-    "ResidualReport": lambda: ResidualReport(False, (((1,), (2,), Fraction(1)),), "direct"),
+    "ResidualReport": lambda: ResidualReport(False, (((1,), (2,), Fraction(1)),)),
 }
 HASHABLE = {"Permutation", "Nation", "Configuration", "ResidualReport"}
 
@@ -99,7 +99,7 @@ def test_unequal_values_compare_unequal():
         config(), ParamPoint(alpha={1: Fraction(3)}, beta={1: Fraction(5)})
     )
     assert Permutation((1, 2)) != (1, 2)
-    assert not ResidualReport(False, (), "direct")
+    assert not ResidualReport(False, ())
 
 
 # name -> its fields, in tuple order
@@ -111,7 +111,7 @@ FIELDS = {
     "SparseOp": "n level entries",
     "ParamPoint": "mu alpha beta mu_sq",
     "Germ": "config params",
-    "ResidualReport": "zero witnesses source",
+    "ResidualReport": "zero witnesses",
 }
 
 

@@ -183,3 +183,27 @@ def test_json_readers_leave_schema_checks_to_read():
                     checks.append(f"{path.name}:{fn.name}:{node.lineno}")
     assert sorted(readers) == ["configuration_from_json", "germ_from_json", "matrix_from_json"]
     assert checks == []
+
+
+def test_no_handler_translates_one_library_error_into_another():
+    # each verdict is raised once, where it is reached: a handler may re-raise
+    # the class it caught with a path added, but not turn it into another one
+    errors = {node.name for node in ast.parse((SRC / "errors.py").read_text()).body
+              if isinstance(node, ast.ClassDef)}
+
+    def named(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    translated = []
+    for path in sorted(SRC.glob("*.py")):
+        for handler in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(handler, ast.ExceptHandler) or handler.type is None:
+                continue
+            types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            caught = {named(t) for t in types} & errors
+            for node in ast.walk(handler):
+                if caught and isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if named(exc) in errors - caught:
+                        translated.append(f"{path.name}:{node.lineno}")
+    assert translated == []
