@@ -27,7 +27,7 @@ from .diagrams import (
     Permutation,
     configuration_perm,
 )
-from .errors import MalformedInputError, NotASolutionError
+from .errors import NotASolutionError
 from .matchcat import (
     EdgeBlock,
     MatchMatrix2,
@@ -268,12 +268,8 @@ def classify(m) -> Germ:
     """
     if not invertible(m):
         raise NotASolutionError("matrix is not invertible")
-    labels = edge_labels(m)
-    try:
-        germ = _read_germ(m, labels)
-    except MalformedInputError:
-        germ = None
-    if germ is None or not x_equivalent(rec(germ), m):
+    germ = _read_germ(m, edge_labels(m))
+    if not x_equivalent(rec(germ), m):
         rep = constraint_residuals(m)
         if not rep.zero:
             raise NotASolutionError(f"constraints fail, first witness {rep.witnesses[0]}")

@@ -17,7 +17,6 @@ rows, row order giving the county order, shading giving the part tags.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 from typing import Iterator, NamedTuple
 
 from .errors import MalformedInputError
@@ -79,15 +78,10 @@ def euler_count(n) -> int:
     return b[n]
 
 
-class Permutation(namedtuple("Permutation", "images")):
+class Permutation(NamedTuple):
     """Bijection on {1..n}; images[i-1] is the image of i."""
 
-    __slots__ = ()
-
-    def __init__(self, images):
-        n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
-            raise MalformedInputError(f"not a permutation of 1..{n}: {images}")
+    images: tuple
 
     @property
     def n(self):
@@ -104,8 +98,7 @@ class Permutation(namedtuple("Permutation", "images")):
 
     @staticmethod
     def all(n) -> Iterator:
-        for images in itertools.permutations(range(1, n + 1)):
-            yield Permutation(images)
+        return map(Permutation, itertools.permutations(range(1, n + 1)))
 
 
 class County(NamedTuple):
@@ -125,28 +118,9 @@ class Nation(NamedTuple):
         return sum(len(c.vertices) for c in self.counties)
 
 
-class Configuration(namedtuple("Configuration", "n nations")):
-    __slots__ = ()
-
-    def __init__(self, n, nations):
-        if n < 0:
-            raise MalformedInputError(f"n must be nonnegative, got {n}")
-        seen = []
-        for nat in nations:
-            if not nat.counties:
-                raise MalformedInputError("nation with no counties")
-            parts = set()
-            for c in nat.counties:
-                if c.part not in PART_TAGS:
-                    raise MalformedInputError(f"bad part tag {c.part!r}")
-                if not c.vertices or tuple(sorted(c.vertices)) != tuple(c.vertices):
-                    raise MalformedInputError(f"county vertices must be sorted, nonempty: {c}")
-                parts.add(c.part)
-                seen.extend(c.vertices)
-            if len(parts) > 2:
-                raise MalformedInputError("more than two parts in a nation")
-        if len(seen) != n or sorted(seen) != list(range(1, n + 1)):
-            raise MalformedInputError(f"counties must partition 1..{n}")
+class Configuration(NamedTuple):
+    n: int
+    nations: tuple  # of Nation
 
 
 def _sorted_nations(nations):
@@ -289,13 +263,31 @@ def configuration_to_json(config):
 
 CONFIGURATION = {
     "n": parse_int,
-    # `str` passes a part tag on, and Configuration rejects all but PART_TAGS
+    # `str` passes a part tag on, and configuration_of rejects all but PART_TAGS
     "nations": [{"counties": [{"vertices": [parse_int], "part": str}]}],
 }
 
 
 def configuration_of(n, nations) -> Configuration:
-    return Configuration(n, tuple(Nation(tuple(County(*c) for c in cs)) for (cs,) in nations))
+    """The one check of a configuration, on `n` and `nations` as `read` gives
+    them: nothing built from a checked one is checked again."""
+    if n < 0:
+        raise MalformedInputError(f"n must be nonnegative, got {n}")
+    config = Configuration(n, tuple(Nation(tuple(County(*c) for c in cs)) for (cs,) in nations))
+    seen = []
+    for nat in config.nations:
+        if not nat.counties:
+            raise MalformedInputError("nation with no counties")
+        for c in nat.counties:
+            if c.part not in PART_TAGS:
+                raise MalformedInputError(f"bad part tag {c.part!r}")
+            if not c.vertices or list(c.vertices) != sorted(c.vertices):
+                raise MalformedInputError(f"county vertices must be sorted, nonempty: {c}")
+            seen.extend(c.vertices)
+    # the length first: a huge n is refused before 1..n is built
+    if len(seen) != n or sorted(seen) != list(range(1, n + 1)):
+        raise MalformedInputError(f"counties must partition 1..{n}")
+    return config
 
 
 def configuration_from_json(data) -> Configuration:

@@ -19,7 +19,6 @@ letter positions.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -39,20 +38,16 @@ def edge_pairs(n):
     return [(i, j) for j in range(2, n + 1) for i in range(1, j)]
 
 
-class MatchMatrix2(namedtuple("MatchMatrix2", "n vertices edges")):
+class MatchMatrix2(NamedTuple):
     """Level-(2,2) charge-conserving operator in alpha form.
 
     vertices[i-1] is the scalar at vertex i; edges maps each pair (i,j) with
     i<j to its EdgeBlock.
     """
 
-    __slots__ = ()
-
-    def __init__(self, n, vertices, edges):
-        if len(vertices) != n:
-            raise MalformedInputError("vertex count mismatch")
-        if len(edges) != n * (n - 1) // 2 or set(edges) != set(edge_pairs(n)):
-            raise MalformedInputError("edge set must be exactly {(i,j): i<j}")
+    n: int
+    vertices: tuple
+    edges: dict
 
     def vertex(self, i) -> Fraction:
         return self.vertices[i - 1]
@@ -70,12 +65,8 @@ def _antitranspose(blk) -> EdgeBlock:
 
 
 def restrict(m, letters) -> MatchMatrix2:
-    """Restriction to a sub-alphabet, relabelled order-preservingly to 1..k."""
-    letters = tuple(letters)
-    if not letters or list(letters) != sorted(set(letters)):
-        raise MalformedInputError(f"letters must be strictly increasing: {letters}")
-    if letters[-1] > m.n:
-        raise MalformedInputError(f"letter out of range: {letters[-1]}")
+    """Restriction to strictly increasing letters of m, relabelled
+    order-preservingly to 1..k."""
     vs = tuple(m.vertex(v) for v in letters)
     es = {
         (i + 1, j + 1): m.edges[(letters[i], letters[j])]
@@ -226,8 +217,13 @@ MATRIX = {
 
 
 def matrix_from_json(data) -> MatchMatrix2:
+    """The one check of a matrix: nothing built from a checked one is checked again."""
     n, vertices, edge_list = read(data, MATRIX, "matrix")
     edges = {(i, j): EdgeBlock(a, b, c, d) for i, j, a, b, c, d in edge_list}
     if len(edges) != len(edge_list):
         raise MalformedInputError("matrix.edges: an edge pair is given twice")
+    if len(vertices) != n:
+        raise MalformedInputError("vertex count mismatch")
+    if len(edges) != n * (n - 1) // 2 or set(edges) != set(edge_pairs(n)):
+        raise MalformedInputError("edge set must be exactly {(i,j): i<j}")
     return MatchMatrix2(n, vertices, edges)

@@ -22,37 +22,24 @@ root.
 from __future__ import annotations
 
 import random
-from collections import namedtuple
 from fractions import Fraction
+from types import MappingProxyType
+from typing import NamedTuple
 
-from .diagrams import CONFIGURATION, configuration_of, configuration_to_json
+from .diagrams import CONFIGURATION, Configuration, configuration_of, configuration_to_json
 from .errors import MalformedInputError
 from .matchcat import EdgeBlock, MatchMatrix2, edge_pairs
 from .scalars import format_scalar, parse_int, read, scalar
 
 
-class ParamPoint(namedtuple("ParamPoint", "mu alpha beta mu_sq")):
-    __slots__ = ()
+class ParamPoint(NamedTuple):
+    """The parameter tables: mu and mu_sq keyed by nation pair (i, j), i < j,
+    alpha and beta by nation.  A table left out is empty and read-only."""
 
-    def __new__(cls, mu=None, alpha=None, beta=None, mu_sq=None):
-        self = super().__new__(
-            cls,
-            {} if mu is None else mu,
-            {} if alpha is None else alpha,
-            {} if beta is None else beta,
-            {} if mu_sq is None else mu_sq,
-        )
-        for name, table in zip(self._fields, self):
-            for key, v in table.items():
-                if v == 0:
-                    raise MalformedInputError(f"{name}[{key}] must be nonzero")
-        if set(self.mu) & set(self.mu_sq):
-            raise MalformedInputError("mu and mu_sq keys must be disjoint")
-        for i, b in self.beta.items():
-            a = self.alpha.get(i)
-            if a is not None and a + b == 0:
-                raise MalformedInputError(f"alpha[{i}] + beta[{i}] must be nonzero")
-        return self
+    mu: dict = MappingProxyType({})
+    alpha: dict = MappingProxyType({})
+    beta: dict = MappingProxyType({})
+    mu_sq: dict = MappingProxyType({})
 
 
 def _needs_beta(nation):
@@ -60,20 +47,9 @@ def _needs_beta(nation):
     return len(nation.counties) >= 2 or any(c.part == "second" for c in nation.counties)
 
 
-class Germ(namedtuple("Germ", "config params")):
-    __slots__ = ()
-
-    def __init__(self, config, params):
-        m = len(config.nations)
-        pairs = {(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)}
-        if set(params.alpha) != set(range(1, m + 1)):
-            raise MalformedInputError("alpha must cover every nation")
-        multi = {i for i, nat in enumerate(config.nations, start=1) if _needs_beta(nat)}
-        if set(params.beta) != multi:
-            raise MalformedInputError(
-                "beta must cover exactly the nations with >= 2 counties or a second county")
-        if set(params.mu) | set(params.mu_sq) != pairs:
-            raise MalformedInputError("mu must cover every nation pair")
+class Germ(NamedTuple):
+    config: Configuration
+    params: ParamPoint
 
 
 def generic_point(config, seed=0) -> ParamPoint:
@@ -157,5 +133,27 @@ GERM = {  # the tables in ParamPoint field order
 
 
 def germ_from_json(data) -> Germ:
+    """The one check of a germ: nothing built from a checked one is checked again."""
     n, nations, *tables = read(data, GERM, "germ")
-    return Germ(configuration_of(n, nations), ParamPoint(*tables))
+    config, params = configuration_of(n, nations), ParamPoint(*tables)
+    for name, table in zip(params._fields, params):
+        for key, v in table.items():
+            if v == 0:
+                raise MalformedInputError(f"{name}[{key}] must be nonzero")
+    if set(params.mu) & set(params.mu_sq):
+        raise MalformedInputError("mu and mu_sq keys must be disjoint")
+    for i, b in params.beta.items():
+        a = params.alpha.get(i)
+        if a is not None and a + b == 0:
+            raise MalformedInputError(f"alpha[{i}] + beta[{i}] must be nonzero")
+    m = len(config.nations)
+    if set(params.alpha) != set(range(1, m + 1)):
+        raise MalformedInputError("alpha must cover every nation")
+    multi = {i for i, nat in enumerate(config.nations, start=1) if _needs_beta(nat)}
+    if set(params.beta) != multi:
+        raise MalformedInputError(
+            "beta must cover exactly the nations with >= 2 counties or a second county")
+    pairs = {(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)}
+    if set(params.mu) | set(params.mu_sq) != pairs:
+        raise MalformedInputError("mu must cover every nation pair")
+    return Germ(config, params)

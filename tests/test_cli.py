@@ -362,6 +362,87 @@ def test_unknown_keys_exit_2(capsys, tmp_path, command, data, error):
     assert (rc, out) == (2, canonical({"error": error}) + "\n")
 
 
+def _county(vertices, part="first"):
+    return {"vertices": vertices, "part": part}
+
+
+TWO_LETTER_GERM = dict(TWO_LETTER_NATIONS, alpha={"1": "5", "2": "3"}, beta={}, mu={"1,2": "7"})
+SWAP_MATRIX = {"n": 2, "vertices": ["1", "1"], "edges": [SWAP_EDGE]}
+
+# One row per message a reader raises about record contents (schema errors
+# are `scalars.read`'s): the input kind, the file, and its exact error.
+# Rows with two faults pin which check runs first.
+REJECTIONS = {
+    "negative-n": ("configuration", {"n": -1, "nations": [{"counties": [_county([1])]}]},
+                   "n must be nonnegative, got -1"),
+    "empty-nation": ("configuration", {"n": 1, "nations": [{"counties": [_county([1])]},
+                                                           {"counties": []}]},
+                     "nation with no counties"),
+    "bad-part-tag": ("configuration", {"n": 2, "nations": [{"counties": [
+        _county([1]), _county([2], "third")]}]}, "bad part tag 'third'"),
+    "unsorted-county": ("configuration", {"n": 2, "nations": [{"counties": [_county([2, 1])]}]},
+                        "county vertices must be sorted, nonempty: "
+                        "County(vertices=(2, 1), part='first')"),
+    "empty-county": ("configuration", {"n": 1, "nations": [{"counties": [
+        _county([1]), _county([], "second")]}]},
+                     "county vertices must be sorted, nonempty: County(vertices=(), part='second')"),
+    "not-a-partition": ("configuration", {"n": 3, "nations": [{"counties": [_county([1, 2])]}]},
+                        "counties must partition 1..3"),
+    "repeated-vertex": ("configuration", {"n": 2, "nations": [{"counties": [_county([1])]},
+                                                              {"counties": [_county([1])]}]},
+                        "counties must partition 1..2"),
+    "tag-before-order": ("configuration", {"n": 2, "nations": [{"counties": [
+        _county([2, 1], "third")]}]}, "bad part tag 'third'"),
+    "nation-before-partition": ("configuration", {"n": 5, "nations": [{"counties": []}]},
+                                "nation with no counties"),
+    "repeated-edge": ("matrix", dict(SWAP_MATRIX, edges=[SWAP_EDGE, SWAP_EDGE]),
+                      "matrix.edges: an edge pair is given twice"),
+    "vertex-count": ("matrix", dict(SWAP_MATRIX, vertices=["1"]), "vertex count mismatch"),
+    "missing-edge": ("matrix", dict(SWAP_MATRIX, edges=[]),
+                     "edge set must be exactly {(i,j): i<j}"),
+    "reversed-edge": ("matrix", dict(SWAP_MATRIX, edges=[dict(SWAP_EDGE, i=2, j=1)]),
+                      "edge set must be exactly {(i,j): i<j}"),
+    "repeat-before-count": ("matrix", dict(SWAP_MATRIX, vertices=["1"], edges=[SWAP_EDGE] * 2),
+                            "matrix.edges: an edge pair is given twice"),
+    "count-before-edges": ("matrix", dict(SWAP_MATRIX, vertices=["1"], edges=[]),
+                           "vertex count mismatch"),
+    "zero-mu": ("germ", dict(TWO_LETTER_GERM, mu={"1,2": "0"}), "mu[(1, 2)] must be nonzero"),
+    "zero-alpha": ("germ", dict(TWO_LETTER_GERM, alpha={"1": "0", "2": "3"}),
+                   "alpha[1] must be nonzero"),
+    "zero-beta": ("germ", dict(TWO_LETTER_GERM, beta={"2": "0"}), "beta[2] must be nonzero"),
+    "zero-mu-sq": ("germ", dict(TWO_LETTER_GERM, mu={}, mu_sq={"1,2": "0"}),
+                   "mu_sq[(1, 2)] must be nonzero"),
+    "mu-overlap": ("germ", dict(TWO_LETTER_GERM, mu_sq={"1,2": "2"}),
+                   "mu and mu_sq keys must be disjoint"),
+    "alpha-plus-beta": ("germ", dict(TWO_LETTER_GERM, beta={"1": "-5"}),
+                        "alpha[1] + beta[1] must be nonzero"),
+    "alpha-coverage": ("germ", dict(TWO_LETTER_GERM, alpha={"1": "5"}),
+                       "alpha must cover every nation"),
+    "beta-coverage": ("germ", dict(TWO_LETTER_GERM, beta={"1": "2"}),
+                      "beta must cover exactly the nations with >= 2 counties or a second county"),
+    "mu-coverage": ("germ", dict(TWO_LETTER_GERM, mu={}), "mu must cover every nation pair"),
+    "config-before-params": ("germ", dict(TWO_LETTER_GERM, n=3, mu={"1,2": "0"}),
+                             "counties must partition 1..3"),
+    "params-before-coverage": ("germ", dict(TWO_LETTER_GERM, alpha={"1": "0"}),
+                               "alpha[1] must be nonzero"),
+}
+REJECTING_COMMANDS = {
+    "configuration": ["build --germ", "signature --config", "orbit --config"],
+    "matrix": ["verify --matrix", "classify --matrix"],
+    "germ": ["build --germ", "signature --germ"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_reader_rejections_are_pinned(capsys, tmp_path, case):
+    kind, data, error = REJECTIONS[case]
+    path = write(tmp_path, "input.json", data)
+    for command in REJECTING_COMMANDS[kind]:
+        rc = main([*command.split(), path])
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == (2, canonical({"error": error}) + "\n", "")
+
+
 def _valid_inputs():
     """Valid germ, matrix and configuration files on up to three letters."""
     files = {"germ": [], "matrix": [], "configuration": []}

@@ -39,25 +39,34 @@ TWO_NATION = Configuration(
 )
 
 
+def reread(germ):
+    return germ_from_json(germ_to_json(germ))
+
+
 def test_param_point_validation():
-    with pytest.raises(MalformedInputError):
-        ParamPoint(alpha={1: Fraction(0)})
-    with pytest.raises(MalformedInputError):
-        ParamPoint(alpha={1: Fraction(2)}, beta={1: Fraction(-2)})
-    with pytest.raises(MalformedInputError):
-        ParamPoint(mu={(1, 2): Fraction(1)}, mu_sq={(1, 2): Fraction(2)})
+    # the record checks nothing; the germ reader refuses each of these
+    alpha = {1: Fraction(2), 2: Fraction(3)}
+    mu = {(1, 2): Fraction(1)}
+    for pp, error in [
+        (ParamPoint(mu=mu, alpha={1: Fraction(0), 2: Fraction(3)}), r"alpha\[1\] must be nonzero"),
+        (ParamPoint(mu=mu, alpha=alpha, beta={1: Fraction(-2)}), r"alpha\[1\] \+ beta\[1\]"),
+        (ParamPoint(mu=mu, alpha=alpha, mu_sq={(1, 2): Fraction(2)}), "disjoint"),
+    ]:
+        with pytest.raises(MalformedInputError, match=error):
+            reread(Germ(TWO_NATION, pp))
 
 
 def test_germ_validation():
     pp = ParamPoint(alpha={1: Fraction(1)})
-    with pytest.raises(MalformedInputError):
-        Germ(TWO_COUNTY, pp)  # missing beta for the two-county nation
-    with pytest.raises(MalformedInputError):
-        Germ(TWO_NATION, ParamPoint(alpha={1: Fraction(1), 2: Fraction(2)}))  # no mu
-    Germ(
+    with pytest.raises(MalformedInputError, match="beta must cover"):
+        reread(Germ(TWO_COUNTY, pp))  # missing beta for the two-county nation
+    with pytest.raises(MalformedInputError, match="mu must cover"):
+        reread(Germ(TWO_NATION, ParamPoint(alpha={1: Fraction(1), 2: Fraction(2)})))  # no mu
+    g = Germ(
         TWO_NATION,
         ParamPoint(mu={(1, 2): Fraction(3)}, alpha={1: Fraction(1), 2: Fraction(2)}),
     )
+    assert reread(g) == g
 
 
 def test_generic_point_is_deterministic_and_generic():

@@ -154,17 +154,22 @@ def test_no_dataclasses_in_the_library():
 
 
 def test_no_class_defines_value_dunders():
-    # records are named tuples: value equality, hash and repr come with them
-    defined = []
+    # records are `typing.NamedTuple`s: value equality, hash and repr come
+    # with them, and they check nothing, since the readers of outside input
+    # hold every check
+    defined, namedtuple_calls = [], []
     for path in sorted(SRC.glob("*.py")):
-        for cls in ast.walk(ast.parse(path.read_text())):
-            if isinstance(cls, ast.ClassDef):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
                 defined += [
-                    f"{path.name}:{cls.name}.{node.name}" for node in cls.body
-                    if isinstance(node, ast.FunctionDef)
-                    and node.name in {"__eq__", "__hash__", "__repr__"}
+                    f"{path.name}:{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and item.name in {"__eq__", "__hash__", "__repr__", "__init__", "__new__"}
                 ]
+            elif isinstance(node, ast.Call) and "namedtuple" in _uses(node.func, None):
+                namedtuple_calls.append(f"{path.name}:{node.lineno}")
     assert defined == []
+    assert namedtuple_calls == []
 
 
 def test_json_readers_leave_schema_checks_to_read():
