@@ -15,6 +15,12 @@ For composition at other levels, operators are kept sparse, keyed by
 a rearrangement of its row word. Tensor products follow the convention
 (A (x) B)[iI, jJ] = A[i, j] * B[I, J], i.e. the first factor owns the leading
 letter positions.
+
+A word is stored as its integer code: the word (x1..xk) over n letters has
+code sum of xj*(n+1)^(k-j), its letters read as digits in base n+1. A level-1
+code is the letter itself, the code of a concatenation uI is
+code(u)*(n+1)^len(I) + code(I), and codes of equal length sort like their
+words. decode_word turns a code back into its word.
 """
 
 from __future__ import annotations
@@ -124,7 +130,8 @@ def invertible(m) -> bool:
 
 
 class SparseOp(NamedTuple):
-    """Sparse operator at a fixed level: entries keyed by (row word, col word).
+    """Sparse operator at a fixed level: entries keyed by (row code, col code),
+    the integer codes of the row and column words.
 
     Only nonzero entries are stored, so an empty dict is the zero operator.
     Every builder below keeps that invariant; none checks its operands, which
@@ -136,15 +143,21 @@ class SparseOp(NamedTuple):
     entries: dict
 
 
+def decode_word(code, n, level) -> tuple:
+    """The word of `level` letters over n letters whose code is `code`."""
+    return tuple(code // (n + 1) ** k % (n + 1) for k in reversed(range(level)))
+
+
 def identity_op(n) -> SparseOp:
-    return SparseOp(n, 1, {((i,), (i,)): 1 for i in range(1, n + 1)})
+    return SparseOp(n, 1, {(i, i): 1 for i in range(1, n + 1)})
 
 
 def kron(s, t) -> SparseOp:
     """Tensor product; the first factor owns the leading letter positions.
     A product of two nonzero ints or Fractions is never zero."""
+    shift = (s.n + 1) ** t.level
     entries = {
-        (r1 + r2, c1 + c2): v1 * v2
+        (r1 * shift + r2, c1 * shift + c2): v1 * v2
         for (r1, c1), v1 in s.entries.items()
         for (r2, c2), v2 in t.entries.items()
     }
@@ -175,17 +188,14 @@ def sparse_sub(s, t) -> SparseOp:
 
 def to_sparse(m) -> SparseOp:
     """Level-2 sparse form of a MatchMatrix2."""
+    base = m.n + 1
     entries = {}
     for i, v in enumerate(m.vertices, start=1):
         if v != 0:
-            entries[((i, i), (i, i))] = v
+            entries[(i * base + i, i * base + i)] = v
     for (i, j), blk in m.edges.items():
-        for key, v in (
-            (((i, j), (i, j)), blk.a),
-            (((i, j), (j, i)), blk.b),
-            (((j, i), (i, j)), blk.c),
-            (((j, i), (j, i)), blk.d),
-        ):
+        ij, ji = i * base + j, j * base + i
+        for key, v in (((ij, ij), blk.a), ((ij, ji), blk.b), ((ji, ij), blk.c), ((ji, ji), blk.d)):
             if v != 0:
                 entries[key] = v
     return SparseOp(m.n, 2, entries)

@@ -40,6 +40,7 @@ from .matchcat import (
     MatchMatrix2,
     act_perm,
     compose,
+    decode_word,
     edge_pairs,
     identity_op,
     invertible,
@@ -210,7 +211,8 @@ def ybe_residual_direct(m) -> ResidualReport:
     f1f2 = compose(f1, f2)
     # (F1F2)F1, not F1(F2F1): perfbench's level3_nnz hook counts this compose.
     diff = sparse_sub(compose(f1f2, f1), compose(f2, f1f2))
-    return _report([(*key, val) for key, val in diff.entries.items()], lam)
+    return _report([(decode_word(r, m.n, 3), decode_word(c, m.n, 3), v)
+                    for (r, c), v in diff.entries.items()], lam)
 
 
 def is_solution_by_subsets(m) -> ResidualReport:

@@ -4,6 +4,10 @@ They rebuild, from their definitions, things the library computes another
 way: permutation and flip actions as sparse conjugations, the blockwise
 inverse, and the alpha-form support of a level-2 operator.  `matrix` and
 `block` build Fraction-valued test inputs.
+
+`encode` and `words` convert between words and the integer codes that key
+`SparseOp.entries`, straight from the definition of a code, so tests state
+operators as words and check the library's coding independently.
 """
 
 import itertools
@@ -35,8 +39,22 @@ def matrix(vertices, edges) -> MatchMatrix2:
     return MatchMatrix2(len(vs), vs, es)
 
 
+def encode(word, n):
+    """Code of a word over n letters: the sum of x_j * (n+1)^(k-j) over its
+    letters x_1..x_k."""
+    k = len(word)
+    return sum(x * (n + 1) ** (k - j) for j, x in enumerate(word, start=1))
+
+
+def words(op):
+    """op's entries keyed by (row word, column word) instead of codes."""
+    word = {encode(w, op.n): w for w in itertools.product(range(1, op.n + 1), repeat=op.level)}
+    return {(word[r], word[c]): v for (r, c), v in op.entries.items()}
+
+
 def sparse(n, level, entries) -> SparseOp:
-    cleaned = {k: Fraction(v) for k, v in entries.items() if v != 0}
+    """SparseOp from entries keyed by (row word, column word), zeros dropped."""
+    cleaned = {(encode(r, n), encode(c, n)): Fraction(v) for (r, c), v in entries.items() if v != 0}
     return SparseOp(n, level, cleaned)
 
 
@@ -58,7 +76,7 @@ def inverse(m) -> MatchMatrix2:
 
 def charge_conserving(op) -> bool:
     """True iff every column word is a rearrangement of its row word."""
-    return all(sorted(r) == sorted(c) for (r, c), v in op.entries.items() if v != 0)
+    return all(sorted(r) == sorted(c) for (r, c), v in words(op).items() if v != 0)
 
 
 def from_sparse(op) -> MatchMatrix2:
@@ -69,7 +87,7 @@ def from_sparse(op) -> MatchMatrix2:
     vs = [Fraction(0)] * n
     es = {pair: [Fraction(0)] * 4 for pair in edge_pairs(n)}
     slot = {"a": 0, "b": 1, "c": 2, "d": 3}
-    for (row, col), v in op.entries.items():
+    for (row, col), v in words(op).items():
         if v == 0:
             continue
         (r1, r2), (c1, c2) = row, col
@@ -92,8 +110,8 @@ def perm_op(perm, level) -> SparseOp:
     n = perm.n
     entries = {}
     for w in itertools.product(range(1, n + 1), repeat=level):
-        entries[(tuple(perm(i) for i in w), w)] = Fraction(1)
-    return SparseOp(n, level, entries)
+        entries[(tuple(perm(i) for i in w), w)] = 1
+    return sparse(n, level, entries)
 
 
 def flip_op(n) -> SparseOp:
@@ -101,5 +119,5 @@ def flip_op(n) -> SparseOp:
     entries = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            entries[((j, i), (i, j))] = Fraction(1)
-    return SparseOp(n, 2, entries)
+            entries[((j, i), (i, j))] = 1
+    return sparse(n, 2, entries)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from match_ybo.diagrams import Permutation
 from match_ybo.errors import MalformedInputError
@@ -8,6 +9,7 @@ from match_ybo.matchcat import (
     act_flip,
     act_perm,
     compose,
+    decode_word,
     edge_pairs,
     identity_op,
     invertible,
@@ -26,12 +28,14 @@ from matchcat_oracles import (
     SingularMatrixError,
     block,
     charge_conserving,
+    encode,
     flip_op,
     from_sparse,
     inverse,
     matrix,
     perm_op,
     sparse,
+    words,
 )
 
 
@@ -151,7 +155,7 @@ def test_kron_convention():
     b = sparse(2, 1, {((2,), (1,)): 5})
     prod = kron(a, b)
     # first factor owns the leading letter position
-    assert prod.entries == {((1, 2), (2, 1)): Fraction(15)}
+    assert words(prod) == {((1, 2), (2, 1)): Fraction(15)}
 
 
 def test_compose_and_sub():
@@ -160,14 +164,14 @@ def test_compose_and_sub():
     assert compose(m, m) == i2
     assert sparse_sub(m, m).entries == {}
     # vertex entries cancel; the first surviving difference is on the pair span
-    assert sorted(sparse_sub(m, i2).entries.items())[0] == (((1, 2), (1, 2)), Fraction(-1))
+    assert sorted(words(sparse_sub(m, i2)).items())[0] == (((1, 2), (1, 2)), Fraction(-1))
 
 
 def test_compose_drops_entries_that_cancel():
     # [[1, 1], [1, -1]] squared is 2*I on the span of (12), (21): both
     # off-diagonal sums are 1 - 1, and neither zero is stored
     h = to_sparse(matrix((0, 0), {(1, 2): (1, 1, 1, -1)}))
-    assert compose(h, h).entries == {((1, 2), (1, 2)): 2, ((2, 1), (2, 1)): 2}
+    assert words(compose(h, h)) == {((1, 2), (1, 2)): 2, ((2, 1), (2, 1)): 2}
 
 
 def test_charge_conserving():
@@ -195,3 +199,79 @@ def test_json_round_trip():
         matrix_from_json(dup)
     with pytest.raises(MalformedInputError):
         matrix_from_json({"n": 1, "vertices": ["1"], "edges": [{"i": 0, "j": 1}]})
+
+
+# -- the kernels on integer codes against the same kernels on tuple words ----
+
+INTS = st.integers(-3, 3)
+
+
+def word_to_sparse(m):
+    s = {((i, i), (i, i)): v for i, v in enumerate(m.vertices, start=1)}
+    for (i, j), (a, b, c, d) in m.edges.items():
+        s.update({((i, j), (i, j)): a, ((i, j), (j, i)): b, ((j, i), (i, j)): c, ((j, i), (j, i)): d})
+    return {k: v for k, v in s.items() if v != 0}
+
+
+def word_kron(s, t):
+    return {(r1 + r2, c1 + c2): v1 * v2 for (r1, c1), v1 in s.items() for (r2, c2), v2 in t.items()}
+
+
+def word_compose(s, t):
+    out = {}
+    for (r, mid), v1 in s.items():
+        for (mid2, c), v2 in t.items():
+            if mid == mid2:
+                out[(r, c)] = out.get((r, c), 0) + v1 * v2
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def word_sub(s, t):
+    out = {k: s.get(k, 0) - t.get(k, 0) for k in s.keys() | t.keys()}
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def word_operators(n, level):
+    """Entries keyed by (row word, column word) at n letters and `level`."""
+    word = st.tuples(*[st.integers(1, n)] * level)
+    return st.dictionaries(st.tuples(word, word), INTS, max_size=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_code_kernels_match_word_kernels(data):
+    n = data.draw(st.integers(1, 4), "n")
+    vs = data.draw(st.lists(INTS, min_size=n, max_size=n), "vertices")
+    m = matrix(vs, {pair: data.draw(st.tuples(INTS, INTS, INTS, INTS)) for pair in edge_pairs(n)})
+    assert words(to_sparse(m)) == word_to_sparse(m)
+    level = data.draw(st.integers(1, 3), "level")
+    op_s, op_t = (sparse(n, level, data.draw(word_operators(n, level))) for _ in range(2))
+    s, t = words(op_s), words(op_t)
+    assert words(compose(op_s, op_t)) == word_compose(s, t)
+    assert words(sparse_sub(op_s, op_t)) == word_sub(s, t)
+    left = data.draw(st.integers(1, 2), "left level")
+    right = data.draw(st.integers(1, 3 - left), "right level")
+    op_s = sparse(n, left, data.draw(word_operators(n, left)))
+    op_t = sparse(n, right, data.draw(word_operators(n, right)))
+    prod = kron(op_s, op_t)
+    assert prod.level == left + right
+    assert words(prod) == word_kron(words(op_s), words(op_t))
+
+
+@st.composite
+def word_lists(draw):
+    n = draw(st.sampled_from((1, 2, 3, 4, 11)))
+    level = draw(st.integers(1, 3))
+    return n, level, draw(st.lists(st.tuples(*[st.integers(1, n)] * level), min_size=1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(word_lists())
+# letters past 9: a base-10 code or decimal concatenation orders these wrongly
+@example((11, 2, [(1, 11), (10, 1), (2, 9), (1, 2)]))
+@example((11, 3, [(11, 1, 1), (1, 11, 11), (10, 10, 2), (9, 11, 11)]))
+def test_codes_sort_like_words(case):
+    n, level, ws = case
+    codes = [encode(w, n) for w in ws]
+    assert [decode_word(c, n, level) for c in codes] == ws
+    assert [decode_word(c, n, level) for c in sorted(codes)] == sorted(ws)

@@ -58,7 +58,7 @@ def matrix():
 
 
 def sparse():
-    return SparseOp(2, 1, {((1,), (2,)): Fraction(3)})
+    return SparseOp(2, 1, {(1, 2): Fraction(3)})  # codes of the words (1,), (2,)
 
 
 # name -> builder of a fresh value; two calls give equal, distinct objects

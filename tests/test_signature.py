@@ -5,6 +5,8 @@ from match_ybo.diagrams import (
     County,
     Nation,
     Permutation,
+    canonical_structure_key,
+    canonicalize,
     configuration_perm,
     enumerate_transversal,
     flip_configuration,
@@ -104,3 +106,26 @@ def test_check_flags_degenerate_parameters():
     report = signature_check(Germ(config, irr))
     assert not report.matches
     assert report.sampled is None
+
+
+# N: (classes, flip classes, distinct signatures). There are fewer signatures
+# than flip classes: the signature separates classes only in part.
+CLASS_TABLE = {
+    3: (13, 10, 8),
+    4: (46, 34, 21),
+    5: (154, 97, 43),
+    6: (533, 323, 98),
+    7: (1802, 1007, 198),
+    8: (6137, 3344, 419),
+}
+
+
+def test_classes_flip_classes_and_signatures():
+    def key(config):
+        return canonical_structure_key(canonicalize(config)[0])
+
+    for n, row in CLASS_TABLE.items():
+        configs = enumerate_transversal(n)
+        flip_classes = {frozenset((key(c), key(flip_configuration(c)))) for c in configs}
+        signatures = {signature_formula(c) for c in configs}
+        assert (len(configs), len(flip_classes), len(signatures)) == row, n

@@ -8,7 +8,14 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from match_ybo.diagrams import enumerate_transversal
+from match_ybo.diagrams import (
+    Configuration,
+    County,
+    Nation,
+    Permutation,
+    configuration_perm,
+    enumerate_transversal,
+)
 from match_ybo.matchcat import (
     EdgeBlock,
     MatchMatrix2,
@@ -40,7 +47,7 @@ from match_ybo.ybe import (
 )
 
 from helpers import base_constraints
-from matchcat_oracles import matrix
+from matchcat_oracles import matrix, words
 
 
 def random_matrix(n, rng):
@@ -240,11 +247,11 @@ def reference_constraints(m):
 
 def reference_direct(m):
     s = to_sparse(m)
-    one = SparseOp(m.n, 1, {((i,), (i,)): Fraction(1) for i in range(1, m.n + 1)})
+    one = SparseOp(m.n, 1, {(i, i): Fraction(1) for i in range(1, m.n + 1)})
     f1, f2 = kron(s, one), kron(one, s)
     # deliberately (F1F2)F1 - (F2F1)F2, not the route's shared-product form
     diff = sparse_sub(compose(compose(f1, f2), f1), compose(compose(f2, f1), f2))
-    items = sorted((row, col, val) for (row, col), val in diff.entries.items())
+    items = sorted((row, col, val) for (row, col), val in words(diff).items())
     return not items, tuple(items[:MAX_WITNESSES])
 
 
@@ -276,10 +283,29 @@ def test_routes_match_fraction_reference(m):
         assert all(type(w[-1]) is Fraction for w in rep.witnesses)
 
 
-@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def sample_configs(n, rng):
+    """Two configurations on n letters: drawn from the transversal up to n = 8;
+    past that, where enumerating it takes half a minute, each is the disjoint
+    union of drawn configurations on 5 and n - 5 letters, relabelled at random."""
+    if n <= 8:
+        return rng.sample(enumerate_transversal(n), 2)
+    configs = []
+    for _ in range(2):
+        low, high = rng.choice(enumerate_transversal(5)), rng.choice(enumerate_transversal(n - 5))
+        shifted = tuple(
+            Nation(tuple(County(tuple(v + 5 for v in c.vertices), c.part) for c in nat.counties))
+            for nat in high.nations
+        )
+        union = Configuration(n, low.nations + shifted)
+        configs.append(configuration_perm(union, Permutation(tuple(rng.sample(range(1, n + 1), n)))))
+    return configs
+
+
+# past nine letters, a word code in the wrong base would mis-order witnesses
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 11])
 def test_routes_match_fraction_reference_on_rec_outputs(n):
     rng = random.Random(n)
-    for config in rng.sample(enumerate_transversal(n), 2):
+    for config in sample_configs(n, rng):
         m = rec(Germ(config, generic_point(config, seed=n)))
         values = entries(m)
         values[rng.randrange(len(values))] += Fraction(1, 3)
