@@ -19,10 +19,19 @@ The constraint images split in two.  The pair relations live on one block and
 its two vertex scalars; `_block_candidates` enforces them on each block before
 any vector is built.  `check_vector` then tests only the 18 images of the
 three relations that couple all three blocks, in 12 grouped tests.
+
+The pair relations are homogeneous cubics, so scaling a block and its two
+scalars by s keeps their zero set, and so does the rescaling above with
+x = s, which restores the gauge.  The candidates at scalars (s, t) are
+therefore those at (1, t/s) mapped by (a, b, c, d) -> (s a, s^2 b, c, s d):
+the relations are scanned over p - 1 scalar pairs, not (p - 1)^2.  Each
+grouped test is a polynomial written factored, as `_compile` describes, so
+a vector costs fewer multiplications than its monomials list.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 
@@ -63,15 +72,42 @@ def _compile(reindex, polys):
     whose monomials all share an entry x is x*Q; over the field F_p the
     images x*Q, y*Q, ... with one cofactor Q (up to sign) all vanish exactly
     when Q does or x, y, ... all do.  So `check` tests the images with no
-    shared entry, then each distinct Q once.
+    shared entry, then each distinct Q once.  Each tested polynomial is
+    written factored: the entry in most of its monomials (the least on a
+    tie) is factored out of them, recursively, and then out of the rest.
+    A test's overall sign is free, since x = 0 exactly when -x = 0, so no
+    unary minus is written: -v7*v14*v14+v7*v7*v14-v3*v12*v13+v3*v8*v9 is
+    tested as v3*(v8*v9-v12*v13)+v7*v14*(v7-v14).
     Unpacks `v` into locals once; a coefficient other than +1 or -1 raises.
     """
     if any(abs(coeff) != 1 for poly in polys for coeff, _ in poly):
         raise ValueError("every coefficient must be +1 or -1")
     names = [f"v{i}" for i in range(len(reindex[0]))]
 
-    def terms(monos):
-        return "".join(("+" if c > 0 else "-") + "*".join(names[i] for i in m) for c, m in monos)
+    def drop(m, x):
+        return m[:m.index(x)] + m[m.index(x) + 1:]
+
+    def factored(monos):
+        """(sign, text) terms summing to the (coefficient, entries) monomials."""
+        if not monos:
+            return []
+        counts = Counter(i for _, m in monos for i in set(m))
+        x = min(counts, key=lambda i: (-counts[i], i))
+        if counts[x] == 1:
+            return [(c, "*".join(names[i] for i in m)) for c, m in monos]
+        inner = factored([(c, drop(m, x)) for c, m in monos if x in m])
+        sign, text = joined(inner)
+        head = f"{names[x]}*{text}" if len(inner) == 1 else f"{names[x]}*({text})"
+        return [(sign, head)] + factored([(c, m) for c, m in monos if x not in m])
+
+    def joined(terms):
+        """(sign, text) with sign * text the sum of the terms; text has no unary minus."""
+        (lead, first), *rest = terms
+        return lead, first + "".join(("+" if c == lead else "-") + t for c, t in rest)
+
+    def test(monos):
+        """The sum of the monomials, factored, up to sign."""
+        return joined(factored(sorted(monos, key=lambda cm: cm[1])))[1]
 
     lines = ["def check(v, p):", f"    {', '.join(names)} = v"]
     factors = {}  # cofactor Q -> the shared entries it is multiplied by
@@ -80,15 +116,15 @@ def _compile(reindex, polys):
             monos = [(coeff, tuple(sorted(src[i] for i in mono))) for coeff, mono in poly]
             shared = set.intersection(*(set(m) for _, m in monos))
             if not shared:
-                lines.append(f"    if ({terms(monos)}) % p: return False")
+                lines.append(f"    if ({test(monos)}) % p: return False")
                 continue
             x = min(shared)
-            q = sorted((m[:m.index(x)] + m[m.index(x) + 1:], c) for c, m in monos)
+            q = sorted((drop(m, x), c) for c, m in monos)
             sign = q[0][1]
             factors.setdefault(tuple((c * sign, m) for m, c in q), set()).add(x)
     for q, xs in factors.items():
         nonzero = " or ".join(f"{names[x]} % p" for x in sorted(xs))
-        lines.append(f"    if ({terms(q)}) % p and ({nonzero}): return False")
+        lines.append(f"    if ({test(q)}) % p and ({nonzero}): return False")
     lines.append("    return True")
     ns = {}
     exec("\n".join(lines), ns)
@@ -104,22 +140,32 @@ _pair_ok = _compile(PAIR_REINDEX, PAIR_POLYS)
 
 
 @lru_cache(maxsize=None)
-def _block_candidates(coarse, s, t, p):
-    """Gauged blocks with the given pattern passing both pair relations."""
+def _unit_candidates(coarse, u, p):
+    """Gauged blocks with the given pattern passing both pair relations at
+    the scalars (1, u)."""
     nz = range(1, p)
     ranges = [nz if mark else (0,) for mark in H_BLOCK[coarse]]
     if ranges[2] is nz:
         ranges[2] = (1,)  # the lower-1 gauge c = 1
-    return tuple(blk for blk in product(*ranges) if _pair_ok((s, t) + blk, p))
+    return tuple(blk for blk in product(*ranges) if _pair_ok((1, u) + blk, p))
 
 
-def _vertices_ok(ftype, scalars):
-    """Does each f/a token of the type agree with its edge's two scalars?"""
-    for tok, (i, j) in zip(ftype, edge_pairs(3)):
-        coarse = coarsen(tok)
-        if tok != coarse and FINE_LABEL[coarse, scalars[i - 1] == scalars[j - 1]] != tok:
-            return False
-    return True
+@lru_cache(maxsize=None)
+def _block_candidates(coarse, s, t, p):
+    """Gauged blocks with the given pattern passing both pair relations, in
+    lexicographic order: the blocks at (1, t/s), scaled by s and regauged."""
+    unit = _unit_candidates(coarse, t * pow(s, -1, p) % p, p)
+    return tuple(sorted((s * a % p, s * s * b % p, c, s * d % p) for a, b, c, d in unit))
+
+
+def _vertex_rules(ftype):
+    """(i, j, equal) for each f/a token of the type: the token holds exactly
+    when (scalar i == scalar j) is `equal`."""
+    return tuple(
+        (i - 1, j - 1, FINE_LABEL[coarsen(tok), True] == tok)
+        for tok, (i, j) in zip(ftype, edge_pairs(3))
+        if tok != coarsen(tok)
+    )
 
 
 def fibre_scan(ftype, prime):
@@ -130,9 +176,10 @@ def fibre_scan(ftype, prime):
     if not _is_prime(prime):
         raise MalformedInputError(f"{prime} is not prime")
     coarse = tuple(coarsen(t) for t in ftype)
+    rules = _vertex_rules(ftype)
     nz = range(1, prime)
     for scalars in product(nz, repeat=3):
-        if not _vertices_ok(ftype, scalars):
+        if any((scalars[i] == scalars[j]) != equal for i, j, equal in rules):
             continue
         a1, a2, a3 = scalars
         c12 = _block_candidates(coarse[0], a1, a2, prime)

@@ -211,8 +211,9 @@ def ybe_residual_direct(m) -> ResidualReport:
     f1f2 = compose(f1, f2)
     # (F1F2)F1, not F1(F2F1): perfbench's level3_nnz hook counts this compose.
     diff = sparse_sub(compose(f1f2, f1), compose(f2, f1f2))
-    return _report([(decode_word(r, m.n, 3), decode_word(c, m.n, 3), v)
-                    for (r, c), v in diff.entries.items()], lam)
+    # Codes of one level sort like their words, so only the kept entries are decoded.
+    kept = sorted(diff.entries.items())[:MAX_WITNESSES]
+    return _report([(decode_word(r, m.n, 3), decode_word(c, m.n, 3), v) for (r, c), v in kept], lam)
 
 
 def is_solution_by_subsets(m) -> ResidualReport:

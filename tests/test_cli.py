@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -648,6 +649,28 @@ def test_fibre_report(capsys):
     for prime, digest in FIBRE_REPORT_SHA256.items():
         rc, out = run(capsys, "fibre", "--prime", str(prime))
         assert (rc, hashlib.sha256(out.encode("ascii")).hexdigest()) == (0, digest)
+
+
+# sha256 of the (exit code, stdout) sequence of every single-fibre call over
+# the 512 triples of the 8 type tokens, at p = 3 and then p = 5: the f/a
+# refinements, which the pools below never request.
+FIBRE_TYPES_SHA256 = "8638b29c080050a9ca8e936ea739e2b7542a33601f3bc83ed88a1480f05e42a6"
+
+
+def test_fibre_type_bytes_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for prime in ("3", "5"):
+        for ftype in product(("0", "/", "+", "-", "f+", "a+", "f-", "a-"), repeat=3):
+            rc, out = run(capsys, "fibre", f"--type={','.join(ftype)}", "--prime", prime)
+            digest.update(f"{rc}\n{out}".encode("ascii"))
+    assert digest.hexdigest() == FIBRE_TYPES_SHA256
+
+
+@pytest.mark.parametrize("prime", ["1", "4", "6", "8", "15"])
+def test_fibre_rejects_composite_prime(capsys, prime):
+    # an even composite is caught only if trial division starts at 2
+    rc, out = run(capsys, "fibre", "--prime", prime)
+    assert (rc, out) == (2, canonical({"error": f"{prime} is not prime"}) + "\n")
 
 
 def test_fibre_rejects_bad_prime(capsys):

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from match_ybo.classify import coarsen
+from match_ybo.classify import H_BLOCK, EdgeLabelH, coarsen
 from match_ybo.errors import MalformedInputError
 from match_ybo.oracle import (
     _block_candidates,
@@ -115,6 +115,21 @@ def test_hit_in_family():
     assert summary["matches_family"] is True
     assert summary["type"] == "+,+,+"
     assert summary["prime"] == 7
+
+
+def test_family_rules_reject_a_second_value():
+    # Moving one entry of a hit gives a second slash product on "/,/,+",
+    # and on "+,+,+" a second trace (entry 11, a of block 23) with equal
+    # products or a second product (entry 12, b) with equal traces.
+    for ftype, p, moved_entries in (("/,/,+", 5, (8,)), ("+,+,+", 7, (11, 12))):
+        rule = _family_rule(parse_fibre_type(ftype))
+        hits = list(fibre_scan(ftype, p))
+        assert hits, ftype
+        for vec in hits:
+            assert rule(vec, p), (ftype, vec)
+            for k in moved_entries:
+                moved = vec[:k] + ((vec[k] + 1) % p or 1,) + vec[k + 1:]
+                assert not rule(moved, p), (ftype, moved)
 
 
 def test_empty_fibre_summary():
@@ -248,6 +263,28 @@ def test_census_verdicts_never_read_the_vertex_scalars():
                 assert rule(moved, p) == verdict, (ftype, vec, moved)
                 verdicts["rule", verdict] += 1
     assert len(verdicts) == 4 and min(verdicts.values()) > 50, verdicts
+
+
+def brute_candidates(coarse, s, t, p):
+    """Every gauged block of the pattern that passes both pair relations."""
+    nz = range(1, p)
+    ranges = [nz if mark else (0,) for mark in H_BLOCK[coarse]]
+    if ranges[2] is nz:
+        ranges[2] = (1,)
+    return tuple(blk for blk in product(*ranges) if _pair_ok((s, t) + blk, p))
+
+
+def test_block_candidates_match_brute_force():
+    # the candidates at (s, t) are those at (1, t/s) scaled by s: same tuple, same order
+    sizes = Counter()
+    for p in (3, 5, 7, 11, 13):
+        for coarse in H_BLOCK:
+            for s, t in product(range(1, p), repeat=2):
+                want = brute_candidates(coarse, s, t, p)
+                assert _block_candidates(coarse, s, t, p) == want, (coarse, s, t, p)
+                sizes[coarse, bool(want)] += 1
+    # only the slash pattern is never empty: (0, b, 1, 0) passes at any (s, t)
+    assert len(sizes) == 7 and (EdgeLabelH.SLASH, False) not in sizes, sizes
 
 
 def scanned_vectors(ftype, p):
