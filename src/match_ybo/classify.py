@@ -20,24 +20,17 @@ from __future__ import annotations
 from enum import Enum
 from itertools import product
 
-from .diagrams import (
-    Configuration,
-    County,
-    Nation,
-    Permutation,
-    configuration_perm,
-)
 from .errors import NotASolutionError
 from .matchcat import (
     EdgeBlock,
     MatchMatrix2,
+    Permutation,
     act_flip,
     act_perm,
     edge_pairs,
     invertible,
     x_equivalent,
 )
-from .recipe import Germ, ParamPoint, rec
 from .scalars import rational_sqrt
 from .ybe import constraint_residuals
 
@@ -253,8 +246,12 @@ def recover_colours(m, ordered_counties):
     )
 
 
-def classify(m) -> Germ:
-    """Full inverse: matching data and parameters of a solution.
+# diagrams and recipe are imported by the functions below that use them, so
+# the verify and fibre commands, which load this module, never compile them.
+# cli must still bind `classify` at import: perfbench pins
+# `match_ybo.classify is cli.classify` (ROADMAP item 1a).
+def classify(m):
+    """Full inverse: the germ (matching data and parameters) of a solution.
 
     The germ is read off the edge labels and vertex scalars without checking
     them, then certified by rebuilding it: m is accepted only when it is
@@ -266,6 +263,8 @@ def classify(m) -> Germ:
 
     Raises NotASolutionError when the matrix is not an invertible solution.
     """
+    from .recipe import rec
+
     if not invertible(m):
         raise NotASolutionError("matrix is not invertible")
     germ = _read_germ(m, edge_labels(m))
@@ -279,6 +278,9 @@ def classify(m) -> Germ:
 
 def _read_germ(m, labels):
     """The germ whose operator m must be; nothing read is checked."""
+    from .diagrams import Configuration, County, Nation
+    from .recipe import Germ, ParamPoint
+
     nations = []
     alpha = {}
     beta = {}
@@ -316,6 +318,8 @@ def no_minus_rep(config):
     """Relabel within nations so every county is a consecutive run in county
     order; the germ operator of the result has no minus edges.  Returns the
     relabelled configuration and the permutation used."""
+    from .diagrams import configuration_perm
+
     images = [0] * config.n
     for nat in config.nations:
         vs = sorted(nat.vertices)

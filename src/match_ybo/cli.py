@@ -3,6 +3,10 @@
 All machine output is canonical JSON on stdout: sorted keys, compact
 separators, ASCII only, rationals as strings.  Exit codes: 0 success,
 1 verification or assertion failure, 2 malformed input.
+
+A module that only some commands run is imported inside those commands, so
+each process compiles only what its command needs; importing this module
+loads no more than `verify` runs.
 """
 
 from __future__ import annotations
@@ -12,16 +16,8 @@ import json
 import sys
 
 from .classify import classify
-from .diagrams import (
-    canonical_structure_key,
-    configuration_from_json,
-    configuration_to_json,
-    enumerate_transversal,
-    orbit,
-)
 from .errors import MatchYboError, MalformedInputError
 from .matchcat import matrix_from_json, matrix_to_json
-from .recipe import Germ, generic_point, germ_from_json, germ_to_json, rec
 from .scalars import format_scalar, parse_int
 from .ybe import constraint_residuals, is_solution_by_subsets, ybe_residual_direct
 
@@ -78,6 +74,8 @@ FIBRE_MAX_PRIME = 19
 
 
 def cmd_enumerate(args):
+    from .diagrams import configuration_to_json, enumerate_transversal
+
     if args.n > ENUMERATE_MAX_N:
         raise MalformedInputError(f"--n must be at most {ENUMERATE_MAX_N}, got {args.n}")
     configs = list(enumerate_transversal(args.n))
@@ -96,6 +94,9 @@ def cmd_enumerate(args):
 
 def _load_germ(path, seed):
     """A germ file, or a bare configuration (only `n` and `nations`) at a generic point."""
+    from .diagrams import configuration_from_json
+    from .recipe import Germ, generic_point, germ_from_json
+
     data = _load(path)
     if isinstance(data, dict) and data.keys() == {"n", "nations"}:
         config = configuration_from_json(data)
@@ -104,6 +105,8 @@ def _load_germ(path, seed):
 
 
 def cmd_build(args):
+    from .recipe import rec
+
     germ = _load_germ(args.germ, args.seed)
     emit(matrix_to_json(rec(germ)))
     return 0
@@ -148,6 +151,8 @@ def cmd_verify(args):
 
 
 def cmd_classify(args):
+    from .recipe import germ_to_json
+
     m = matrix_from_json(_load(args.matrix))
     germ = classify(m)
     emit(germ_to_json(germ))
@@ -155,6 +160,8 @@ def cmd_classify(args):
 
 
 def cmd_signature(args):
+    from .diagrams import configuration_from_json
+    from .recipe import germ_from_json
     from .signature import signature_check, signature_formula, signature_notation
 
     if args.germ:
@@ -176,6 +183,13 @@ def cmd_signature(args):
 
 
 def cmd_orbit(args):
+    from .diagrams import (
+        canonical_structure_key,
+        configuration_from_json,
+        configuration_to_json,
+        orbit,
+    )
+
     config = configuration_from_json(_load(args.config))
     elements = sorted(orbit(config, include_flip=args.flip), key=canonical_structure_key)
     emit({

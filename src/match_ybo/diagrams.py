@@ -12,14 +12,18 @@ part tag ("first" or "second") splitting the nation's counties into at most
 two parts. A multiset of words with n boxes total determines the canonical
 "book order" configuration: nations in word order, vertices numbered along
 rows, row order giving the county order, shading giving the part tags.
+
+Relabellings are matchcat.Permutation values: the class lives in matchcat,
+beside act_perm, which applies it to operators.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import MalformedInputError
+from .matchcat import Permutation
 from .scalars import parse_int, read
 
 PART_TAGS = ("first", "second")
@@ -76,29 +80,6 @@ def euler_count(n) -> int:
     for m in range(1, n + 1):
         b[m] = (c[m] + sum(c[k] * b[m - k] for k in range(1, m))) // m
     return b[n]
-
-
-class Permutation(NamedTuple):
-    """Bijection on {1..n}; images[i-1] is the image of i."""
-
-    images: tuple
-
-    @property
-    def n(self):
-        return len(self.images)
-
-    def __call__(self, i):
-        return self.images[i - 1]
-
-    def inverse(self):
-        inv = [0] * self.n
-        for i, j in enumerate(self.images, start=1):
-            inv[j - 1] = i
-        return Permutation(tuple(inv))
-
-    @staticmethod
-    def all(n) -> Iterator:
-        return map(Permutation, itertools.permutations(range(1, n + 1)))
 
 
 class County(NamedTuple):

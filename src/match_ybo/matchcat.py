@@ -21,12 +21,17 @@ code sum of xj*(n+1)^(k-j), its letters read as digits in base n+1. A level-1
 code is the letter itself, the code of a concatenation uI is
 code(u)*(n+1)^len(I) + code(I), and codes of equal length sort like their
 words. decode_word turns a code back into its word.
+
+Permutation, a bijection on the letters 1..n, lives here next to act_perm,
+which conjugates an operator by one; diagrams relabels configurations with
+the same class, so the verify routes never import diagrams.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import permutations
+from typing import Iterator, NamedTuple
 
 from .errors import MalformedInputError
 from .scalars import format_scalar, parse_int, read, scalar
@@ -80,6 +85,29 @@ def restrict(m, letters) -> MatchMatrix2:
         for j in range(i + 1, len(letters))
     }
     return MatchMatrix2(len(letters), vs, es)
+
+
+class Permutation(NamedTuple):
+    """Bijection on {1..n}; images[i-1] is the image of i."""
+
+    images: tuple
+
+    @property
+    def n(self):
+        return len(self.images)
+
+    def __call__(self, i):
+        return self.images[i - 1]
+
+    def inverse(self):
+        inv = [0] * self.n
+        for i, j in enumerate(self.images, start=1):
+            inv[j - 1] = i
+        return Permutation(tuple(inv))
+
+    @staticmethod
+    def all(n) -> Iterator:
+        return map(Permutation, permutations(range(1, n + 1)))
 
 
 def act_perm(m, perm) -> MatchMatrix2:

@@ -26,7 +26,6 @@ from .diagrams import (
     Configuration,
     County,
     Nation,
-    Permutation,
     configuration_perm,
     enumerate_multisets,
     enumerate_transversal,
@@ -36,6 +35,7 @@ from .errors import NotASolutionError
 from .matchcat import (
     EdgeBlock,
     MatchMatrix2,
+    Permutation,
     act_flip,
     act_perm,
     edge_pairs,

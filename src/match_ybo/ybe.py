@@ -34,10 +34,10 @@ from itertools import combinations
 from operator import itemgetter
 from typing import NamedTuple
 
-from .diagrams import Permutation
 from .matchcat import (
     EdgeBlock,
     MatchMatrix2,
+    Permutation,
     act_perm,
     compose,
     decode_word,
@@ -220,16 +220,18 @@ def is_solution_by_subsets(m) -> ResidualReport:
     """Reduction route: direct check on every 3-letter restriction.
 
     Witness words name the original letters.  With fewer than 3 letters this
-    is the direct check itself.
+    is the direct check itself.  An entry on two letters lies in every triple
+    holding them, so witnesses are collected in a set: each entry is reported
+    once, and the report equals the direct route's.
     """
     if m.n < 3:
         return ybe_residual_direct(m)
     lam, m = _clear_denominators(m)
-    witnesses = [
+    witnesses = {
         (tuple(letters[t - 1] for t in row), tuple(letters[t - 1] for t in col), val)
         for letters in combinations(range(1, m.n + 1), 3)
         for row, col, val in ybe_residual_direct(restrict(m, letters)).witnesses
-    ]
+    }
     return _report(witnesses, lam)
 
 

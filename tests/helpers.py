@@ -12,7 +12,6 @@ from match_ybo.diagrams import (
     Configuration,
     County,
     Nation,
-    Permutation,
     _sorted_nations,
     configuration_perm,
     flip_configuration,
@@ -20,6 +19,7 @@ from match_ybo.diagrams import (
     word_of_nation,
 )
 from match_ybo.errors import MalformedInputError
+from match_ybo.matchcat import Permutation
 from match_ybo.oracle import _EDGE_OFFSETS, fibre_scan
 from match_ybo.recipe import Germ, ParamPoint
 from match_ybo.ybe import TRIPLE_POLYS, entry_vector, eval_poly

@@ -22,7 +22,6 @@ from match_ybo.classify import (
     triangle_perm,
 )
 from match_ybo.diagrams import (
-    Permutation,
     configuration_perm,
     enumerate_transversal,
 )
@@ -30,6 +29,7 @@ from match_ybo.errors import NotASolutionError
 from match_ybo.matchcat import (
     EdgeBlock,
     MatchMatrix2,
+    Permutation,
     act_perm,
     edge_pairs,
     invertible,

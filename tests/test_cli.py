@@ -734,7 +734,7 @@ def test_cli_pool_bytes_are_pinned(capsys, tmp_path):
 # corruptions of that pool and on random rational matrices; classify on
 # random matrices, many of them invertible with an inadmissible block; and
 # signature --germ on germs whose mu_sq products are mostly not squares.
-VERDICT_POOL_SHA256 = "f8e19947ec641b338b4ca4ba9f5bfcce883f13e037794b605f188511c8d27dd6"
+VERDICT_POOL_SHA256 = "9dd86eab93793aeac79ac334bac5c9a45c6f6194c8c075ca42b8df8c80a9419d"
 
 
 def test_verdict_pool_bytes_are_pinned(capsys, tmp_path):

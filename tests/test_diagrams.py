@@ -6,7 +6,6 @@ from match_ybo.diagrams import (
     Configuration,
     County,
     Nation,
-    Permutation,
     book_order,
     canonical_structure_key,
     canonicalize,
@@ -22,6 +21,7 @@ from match_ybo.diagrams import (
     word_of_nation,
 )
 from match_ybo.errors import MalformedInputError
+from match_ybo.matchcat import Permutation
 
 from helpers import (
     compose_perms,

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from match_ybo.diagrams import Permutation
 from match_ybo.errors import MalformedInputError
 from match_ybo.matchcat import (
+    Permutation,
     act_flip,
     act_perm,
     compose,

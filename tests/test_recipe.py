@@ -7,12 +7,11 @@ from match_ybo.diagrams import (
     Configuration,
     County,
     Nation,
-    Permutation,
     configuration_perm,
     enumerate_transversal,
 )
 from match_ybo.errors import MalformedInputError
-from match_ybo.matchcat import act_flip, act_perm, invertible, x_equivalent
+from match_ybo.matchcat import Permutation, act_flip, act_perm, invertible, x_equivalent
 from match_ybo.recipe import (
     Germ,
     ParamPoint,

@@ -12,7 +12,6 @@ from match_ybo.diagrams import (
     Configuration,
     County,
     Nation,
-    Permutation,
     book_order,
     canonicalize,
     configuration_from_json,
@@ -25,6 +24,7 @@ from match_ybo.errors import MalformedInputError
 from match_ybo.matchcat import (
     EdgeBlock,
     MatchMatrix2,
+    Permutation,
     SparseOp,
     act_flip,
     act_perm,

@@ -4,13 +4,13 @@ from match_ybo.diagrams import (
     Configuration,
     County,
     Nation,
-    Permutation,
     canonical_structure_key,
     canonicalize,
     configuration_perm,
     enumerate_transversal,
     flip_configuration,
 )
+from match_ybo.matchcat import Permutation
 from match_ybo.recipe import Germ, ParamPoint, generic_point
 from match_ybo.signature import (
     degeneracy_partition,

@@ -96,16 +96,21 @@ def test_every_import_is_read():
     assert unread == []
 
 
-# Left unloaded by `import match_ybo.cli`: the library never needs the first
-# two, and only the signature, fibre and selftest commands need the others.
-HEAVY = ("dataclasses", "inspect", "match_ybo.selftest", "match_ybo.oracle", "match_ybo.signature")
+# Every library module, and two stdlib modules the library never needs.
+WATCHED = ["dataclasses", "inspect"] + [
+    f"match_ybo.{path.stem}" for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"
+]
+# What `import match_ybo.cli` loads, and all that every verify method needs.
+CLI_CORE = [
+    f"match_ybo.{name}" for name in ("classify", "cli", "errors", "matchcat", "scalars", "ybe")
+]
 
 # In one fresh interpreter: which of the modules named in argv[1] are loaded
 # after importing the CLI, then after each command (a JSON list of argv lists).
 LOADED_AFTER_EACH_STEP = """
 import contextlib, io, json, sys
 watched = json.loads(sys.argv[1])
-loaded = lambda: [m for m in watched if m in sys.modules]
+loaded = lambda: sorted(m for m in watched if m in sys.modules)
 import match_ybo.cli
 steps = [["import", loaded()]]
 for argv in json.loads(sys.argv[2]):
@@ -120,14 +125,27 @@ def test_cli_imports_only_what_its_command_runs(tmp_path):
     config = enumerate_transversal(4)[3]
     path = tmp_path / "m.json"
     path.write_text(json.dumps(matrix_to_json(rec(Germ(config, generic_point(config))))))
-    commands = [["classify", "--matrix", str(path)], ["verify", "--matrix", str(path)]]
+    methods = ("direct", "constraints", "subsets", "all")
+    commands = [
+        *(["verify", "--method", method, "--matrix", str(path)] for method in methods),
+        ["fibre", "--type=0,+,+", "--prime", "3"],
+        ["fibre", "--prime", "3"],
+        ["classify", "--matrix", str(path)],
+    ]
     path_entries = [str(SRC.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
     proc = subprocess.run(
-        [sys.executable, "-c", LOADED_AFTER_EACH_STEP, json.dumps(HEAVY), json.dumps(commands)],
+        [sys.executable, "-c", LOADED_AFTER_EACH_STEP, json.dumps(WATCHED), json.dumps(commands)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    assert json.loads(proc.stdout) == [["import", []], ["classify", 0, []], ["verify", 0, []]]
+    fibre = sorted([*CLI_CORE, "match_ybo.oracle"])
+    assert json.loads(proc.stdout) == [
+        ["import", CLI_CORE],
+        *(["verify", 0, CLI_CORE] for _ in methods),
+        ["fibre", 0, fibre],
+        ["fibre", 0, fibre],
+        ["classify", 0, sorted([*fibre, "match_ybo.diagrams", "match_ybo.recipe"])],
+    ]
 
 
 # Records are named tuples, every command runs in one process, and options

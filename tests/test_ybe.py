@@ -12,13 +12,13 @@ from match_ybo.diagrams import (
     Configuration,
     County,
     Nation,
-    Permutation,
     configuration_perm,
     enumerate_transversal,
 )
 from match_ybo.matchcat import (
     EdgeBlock,
     MatchMatrix2,
+    Permutation,
     SparseOp,
     compose,
     edge_pairs,
@@ -199,10 +199,10 @@ def from_entries(n, values):
 
 
 @st.composite
-def rational_matrices(draw, max_n=5):
+def rational_matrices(draw, min_n=2, max_n=5):
     """Random rational matrices; rec at rational points, X-rescaled by
     rational factors; and one-entry corruptions of those."""
-    n = draw(st.integers(2, max_n))
+    n = draw(st.integers(min_n, max_n))
     kind = draw(st.sampled_from(("random", "rec", "corrupted")))
     if kind == "random":
         return from_entries(n, [draw(RATIONAL) for _ in range(n + 4 * len(edge_pairs(n)))])
@@ -258,11 +258,12 @@ def reference_direct(m):
 def reference_subsets(m):
     if m.n < 3:
         return reference_direct(m)
-    witnesses = sorted(
+    # a set: an entry on two letters is found once per triple holding them
+    witnesses = sorted({
         (tuple(letters[t - 1] for t in row), tuple(letters[t - 1] for t in col), val)
         for letters in combinations(range(1, m.n + 1), 3)
         for row, col, val in reference_direct(restrict(m, letters))[1]
-    )
+    })
     return not witnesses, tuple(witnesses[:MAX_WITNESSES])
 
 
@@ -281,6 +282,14 @@ def test_routes_match_fraction_reference(m):
         rep = route(m)
         assert (rep.zero, rep.witnesses) == reference(m), route.__name__
         assert all(type(w[-1]) is Fraction for w in rep.witnesses)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(min_n=3))
+def test_subsets_report_equals_direct_report(m):
+    # a level-3 entry lies on at most three letters, so the triples together
+    # hold each direct-route entry, and each is reported once
+    assert is_solution_by_subsets(m) == ybe_residual_direct(m)
 
 
 def sample_configs(n, rng):
