@@ -121,31 +121,36 @@ print(json.dumps(steps))
 """
 
 
-def test_cli_imports_only_what_its_command_runs(tmp_path):
-    config = enumerate_transversal(4)[3]
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps(matrix_to_json(rec(Germ(config, generic_point(config))))))
-    methods = ("direct", "constraints", "subsets", "all")
-    commands = [
-        *(["verify", "--method", method, "--matrix", str(path)] for method in methods),
-        ["fibre", "--type=0,+,+", "--prime", "3"],
-        ["fibre", "--prime", "3"],
-        ["classify", "--matrix", str(path)],
-    ]
+def _loaded_after_each_step(commands):
     path_entries = [str(SRC.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
     proc = subprocess.run(
         [sys.executable, "-c", LOADED_AFTER_EACH_STEP, json.dumps(WATCHED), json.dumps(commands)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    fibre = sorted([*CLI_CORE, "match_ybo.oracle"])
-    assert json.loads(proc.stdout) == [
+    return json.loads(proc.stdout)
+
+
+def test_cli_imports_only_what_its_command_runs(tmp_path):
+    # A command sees the modules an earlier one loaded, so verify/classify and
+    # fibre each get their own interpreter.
+    config = enumerate_transversal(4)[3]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix_to_json(rec(Germ(config, generic_point(config))))))
+    methods = ("direct", "constraints", "subsets", "all")
+    assert _loaded_after_each_step([
+        *(["verify", "--method", method, "--matrix", str(path)] for method in methods),
+        ["classify", "--matrix", str(path)],
+    ]) == [
         ["import", CLI_CORE],
         *(["verify", 0, CLI_CORE] for _ in methods),
-        ["fibre", 0, fibre],
-        ["fibre", 0, fibre],
-        ["classify", 0, sorted([*fibre, "match_ybo.diagrams", "match_ybo.recipe"])],
+        ["classify", 0, sorted([*CLI_CORE, "match_ybo.diagrams", "match_ybo.recipe"])],
     ]
+    fibre = sorted([*CLI_CORE, "match_ybo.oracle"])
+    assert _loaded_after_each_step([
+        ["fibre", "--type=0,+,+", "--prime", "3"],
+        ["fibre", "--prime", "3"],
+    ]) == [["import", CLI_CORE], ["fibre", 0, fibre], ["fibre", 0, fibre]]
 
 
 # Records are named tuples, every command runs in one process, and options
