@@ -18,6 +18,7 @@ from match_ybo.oracle import (
     parse_fibre_type,
 )
 from match_ybo.recipe import Germ, ParamPoint, rec
+from match_ybo.selftest import FIBRE_COUNTS
 from match_ybo.ybe import PAIR_POLYS, PAIR_REINDEX, TRIPLE_POLYS, TRIPLE_REINDEX, eval_poly
 
 from helpers import enumerate_configurations, enumerate_fibre, x_rescale
@@ -220,24 +221,13 @@ def test_census_table_at_7():
     assert (summary["solutions"], summary["matches_family"]) == (17000, True)
 
 
-# Gauged census counts as polynomials in p, one per default type; the other
-# seven default types are empty.  README.md derives each as a count of germs.
-CENSUS_POLYNOMIALS = {
-    "0,0,0": lambda p: p - 1,
-    "0,/,/": lambda p: (p - 1) ** 3,
-    "0,+,+": lambda p: (p - 1) * (2 * p - 5),
-    "/,/,/": lambda p: (p - 1) ** 6,
-    "/,/,+": lambda p: (p - 1) ** 3 * (2 * p - 5),
-    "+,+,+": lambda p: (p - 1) * (4 * p - 11),
-}
-
-
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_census_counts_are_the_germ_count_polynomials(p):
+    # a type FIBRE_COUNTS lists that is no default type would go unchecked
+    types = [",".join(t) for t in default_types()]
+    assert set(FIBRE_COUNTS) <= set(types)
     counts = {r["type"]: r["solutions"] for r in fibre_report(p)}
-    assert counts == {
-        ",".join(t): CENSUS_POLYNOMIALS.get(",".join(t), lambda p: 0)(p) for t in default_types()
-    }
+    assert counts == {t: FIBRE_COUNTS.get(t, lambda p: 0)(p) for t in types}
 
 
 def test_census_verdicts_never_read_the_vertex_scalars():

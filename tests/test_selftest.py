@@ -1,5 +1,6 @@
 import random
 
+from match_ybo import selftest
 from match_ybo.recipe import Germ, generic_point, rec
 from match_ybo.diagrams import enumerate_transversal
 from match_ybo.selftest import (
@@ -51,3 +52,16 @@ def test_frozen_tables_shape():
         total += len(row)
     assert len(CLEAN_ORBIT_ROWS) == 9
     assert total == 34
+
+
+def test_fibre_oracle_fails_on_a_wrong_count_or_family(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setitem(selftest.FIBRE_COUNTS, "+,+,+", lambda p: (p - 1) * (4 * p - 10))
+        assert selftest.check_fibre_oracle("quick") == (
+            False, "fibre +,+,+ has 102 hits over F_7, want 108"
+        )
+    outside = {"type": "0,0,0", "prime": 7, "solutions": 6, "matches_family": False}
+    monkeypatch.setattr(selftest, "fibre_report", lambda p: [outside])
+    assert selftest.check_fibre_oracle("quick") == (
+        False, "fibre 0,0,0 has hits outside its family over F_7"
+    )
