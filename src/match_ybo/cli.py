@@ -2,7 +2,8 @@
 
 All machine output is canonical JSON on stdout: sorted keys, compact
 separators, ASCII only, rationals as strings.  Exit codes: 0 success,
-1 verification or assertion failure, 2 malformed input.
+1 verification or assertion failure, 2 malformed input, 120 stdout could
+not be written.
 
 A module that only some commands run is imported inside those commands, so
 each process compiles only what its command needs; importing this module
@@ -12,7 +13,9 @@ loads no more than `verify` runs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 
 from .classify import classify
@@ -40,6 +43,8 @@ def _load(path):
     try:
         with open(path, "r", encoding="ascii") as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
+    except OSError as exc:  # missing, a directory, not readable
+        raise MalformedInputError(str(exc)) from exc
     except (ValueError, RecursionError) as exc:
         # not ASCII, not JSON, nested too deeply, or an integer literal int() refuses
         raise MalformedInputError(f"{path}: {exc}") from exc
@@ -284,10 +289,12 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command in this process and return its exit code. A failed
+    write to stdout raises the OSError."""
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (MalformedInputError, OSError) as exc:
+    except MalformedInputError as exc:
         emit({"error": str(exc)})
         return 2
     except MatchYboError as exc:
@@ -295,5 +302,24 @@ def main(argv=None):
         return 1
 
 
+def run():
+    """The process entry point of `match-ybo` and `python -m match_ybo.cli`:
+    `main`'s exit code, or 120, with nothing on stderr, when stdout could not
+    be written (a closed pipe, a full disk).
+
+    Freezing the heap before returning lets the interpreter's exit-time
+    garbage collections skip every object the command left behind; the
+    operating system reclaims them with the process."""
+    try:
+        rc = main()
+        sys.stdout.flush()
+    except OSError:
+        # Python flushes stdout again at exit; what is left goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        rc = 120
+    gc.freeze()
+    return rc
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -71,14 +71,12 @@ def euler_count(n) -> int:
     """Count of shape multisets with n boxes, via the Euler transform of 3^(M-1)."""
     if n < 0:
         raise MalformedInputError("n must be nonnegative")
-    if n == 0:
-        return 1
     c = [0] * (n + 1)
     for m in range(1, n + 1):
         c[m] = sum(d * 3 ** (d - 1) for d in range(1, m + 1) if m % d == 0)
     b = [1] + [0] * n
     for m in range(1, n + 1):
-        b[m] = (c[m] + sum(c[k] * b[m - k] for k in range(1, m))) // m
+        b[m] = sum(c[k] * b[m - k] for k in range(1, m + 1)) // m
     return b[n]
 
 

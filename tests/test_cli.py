@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import json
 import os
@@ -30,6 +31,20 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr().out
     return rc, out
+
+
+def cli_process(*argv, env=None, **kwargs):
+    """`python -m match_ybo.cli argv` in a fresh interpreter that imports
+    this checkout's sources; `env` entries override the inherited ones, and
+    None removes one."""
+    src = str(Path(match_ybo.__file__).parent.parent)
+    path_entries = [src, os.environ.get("PYTHONPATH")]
+    merged = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    merged.update(env or {})
+    return subprocess.run(
+        [sys.executable, "-m", "match_ybo.cli", *argv],
+        env={k: v for k, v in merged.items() if v is not None}, timeout=60, **kwargs,
+    )
 
 
 def write(tmp_path, name, obj):
@@ -162,16 +177,47 @@ def test_deeply_nested_input_exits_2_without_traceback(tmp_path, command):
     # json.load recurses once per bracket and would raise RecursionError
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000, encoding="ascii")
-    src = str(Path(match_ybo.__file__).parent.parent)
-    path_entries = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "match_ybo.cli", *command.split(), str(path)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = cli_process(*command.split(), str(path), capture_output=True, text=True)
     assert proc.returncode == 2
     assert "error" in json.loads(proc.stdout)
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("kind, code", [("solution", 0), ("corrupted", 1), ("malformed", 2)])
+def test_process_run_matches_in_process_main(capsys, tmp_path, kind, code):
+    config = enumerate_transversal(4)[7]
+    data = matrix_to_json(rec(Germ(config, generic_point(config))))
+    if kind == "corrupted":
+        data["edges"][0]["b"] = str(Fraction(data["edges"][0]["b"]) + 1)
+    path = write(tmp_path, "m.json", data)
+    if kind == "malformed":
+        Path(path).write_text("{not json", encoding="ascii")
+    frozen = gc.get_freeze_count()
+    rc, out = run(capsys, "verify", "--matrix", path)
+    # only the process entry point freezes the heap, never a library caller's
+    assert gc.get_freeze_count() == frozen
+    assert rc == code
+    proc = cli_process("verify", "--matrix", path, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out.encode("ascii"), b"")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+@pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])
+def test_unwritable_stdout_exits_120_without_stderr(target, unbuffered):
+    if target == "closed pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    elif os.path.exists(target):
+        stdout = os.open(target, os.O_WRONLY)
+    else:
+        pytest.skip(f"no {target} on this platform")
+    try:
+        proc = cli_process("enumerate", "--n", "3", "--format", "text",
+                           env={"PYTHONUNBUFFERED": unbuffered},
+                           stdout=stdout, stderr=subprocess.PIPE)
+    finally:
+        os.close(stdout)
+    assert (proc.returncode, proc.stderr) == (120, b"")
 
 
 def test_boolean_scalar_exits_2(capsys, tmp_path):
