@@ -4,6 +4,9 @@ Every invertible charge-conserving solution determines edge labels: each
 2x2 block is a zero block (b = c = 0), a slash block (a = d = 0), or signed
 (+ when d = 0, - when a = 0, always with b, c both nonzero).  Signed labels
 refine by comparing the two vertex scalars: f (equal) or a (different).
+A label is its string: the coarse labels "0", "/", "+", "-" are the keys of
+`H_BLOCK`, and the fine labels "0", "/", "f+", "a+", "f-", "a-" the values
+of `FINE_LABEL`.
 Slash edges cut the letters into nations, zero edges cut a nation into
 counties, signs order the counties, and f/a splits them into two parts.
 `classify` reads all of this, together with the numerical parameters, into a
@@ -17,7 +20,6 @@ read off representative blocks.
 
 from __future__ import annotations
 
-from enum import Enum
 from itertools import product
 
 from .errors import NotASolutionError
@@ -34,63 +36,40 @@ from .matchcat import (
 from .scalars import rational_sqrt
 from .ybe import constraint_residuals
 
-class EdgeLabelH(str, Enum):
-    """Coarse edge labels."""
-
-    ZERO = "0"
-    SLASH = "/"
-    PLUS = "+"
-    MINUS = "-"
-
-
-class EdgeLabelI(str, Enum):
-    """Fine edge labels: signs split by vertex-scalar comparison."""
-
-    ZERO = "0"
-    SLASH = "/"
-    FPLUS = "f+"
-    APLUS = "a+"
-    FMINUS = "f-"
-    AMINUS = "a-"
-
-
-# Every label, coarse or fine, to its coarse label: a fine label is its coarse
-# label, prefixed by f or a when signed.  Members hash and compare as their
-# strings, so the strings look up too.
-_COARSE = {label: EdgeLabelH(label.value[-1]) for label in (*EdgeLabelH, *EdgeLabelI)}
-
-
-def coarsen(label) -> EdgeLabelH:
-    try:
-        return _COARSE[label]
-    except KeyError:
-        raise ValueError(f"not an edge label: {label!r}") from None
-
-
 # The nonzero pattern (a, b, c, d) of each coarse label's blocks; a block
-# with any other pattern is inadmissible.
+# with any other pattern is inadmissible.  The key order is the label order.
 H_BLOCK = {
-    EdgeLabelH.ZERO: (1, 0, 0, 1),
-    EdgeLabelH.SLASH: (0, 1, 1, 0),
-    EdgeLabelH.PLUS: (1, 1, 1, 0),
-    EdgeLabelH.MINUS: (0, 1, 1, 1),
+    "0": (1, 0, 0, 1),
+    "/": (0, 1, 1, 0),
+    "+": (1, 1, 1, 0),
+    "-": (0, 1, 1, 1),
 }
 _PATTERN_LABEL = {tuple(map(bool, pattern)): label for label, pattern in H_BLOCK.items()}
 
 # The f/a split: a coarse label and whether the edge's two vertex scalars are
 # equal give the fine label.  A zero edge joins equal scalars.
 FINE_LABEL = {
-    (EdgeLabelH.ZERO, True): EdgeLabelI.ZERO,
-    (EdgeLabelH.SLASH, True): EdgeLabelI.SLASH,
-    (EdgeLabelH.SLASH, False): EdgeLabelI.SLASH,
-    (EdgeLabelH.PLUS, True): EdgeLabelI.FPLUS,
-    (EdgeLabelH.PLUS, False): EdgeLabelI.APLUS,
-    (EdgeLabelH.MINUS, True): EdgeLabelI.FMINUS,
-    (EdgeLabelH.MINUS, False): EdgeLabelI.AMINUS,
+    ("0", True): "0",
+    ("/", True): "/",
+    ("/", False): "/",
+    ("+", True): "f+",
+    ("+", False): "a+",
+    ("-", True): "f-",
+    ("-", False): "a-",
 }
 
+# Every label, coarse or fine: a fine label is its coarse label, prefixed by
+# f or a when signed.
+LABELS = {*H_BLOCK, *FINE_LABEL.values()}
 
-def label_edge(m, i, j) -> EdgeLabelI:
+
+def coarsen(label):
+    if label not in LABELS:
+        raise ValueError(f"not an edge label: {label!r}")
+    return label[-1]
+
+
+def label_edge(m, i, j):
     """Fine label of edge (i, j), i < j; NotASolutionError otherwise.
 
     A zero block is moreover a scalar matrix carrying both vertex scalars."""
@@ -100,7 +79,7 @@ def label_edge(m, i, j) -> EdgeLabelI:
     ai, aj = m.vertices[i - 1], m.vertices[j - 1]
     coarse = _PATTERN_LABEL.get(tuple(map(bool, blk)))
     fine = FINE_LABEL.get((coarse, ai == aj))
-    if fine is None or (fine is EdgeLabelI.ZERO and not blk.a == blk.d == ai):
+    if fine is None or (fine == "0" and not blk.a == blk.d == ai):
         raise NotASolutionError(f"not labellable: inadmissible edge block {(i, j)}")
     return fine
 
@@ -113,7 +92,7 @@ def edge_labels(m):
 
 
 def _triangle_matrix(triple):
-    es = {pair: EdgeBlock(*H_BLOCK[EdgeLabelH(t)]) for pair, t in zip(edge_pairs(3), triple)}
+    es = {pair: EdgeBlock(*H_BLOCK[t]) for pair, t in zip(edge_pairs(3), triple)}
     return MatchMatrix2(3, (1, 1, 1), es)
 
 
@@ -129,7 +108,7 @@ def triangle_flip(triple):
     return _triangle_labels(act_flip(_triangle_matrix(triple)))
 
 
-_H_ORDER = tuple(EdgeLabelH)
+_H_ORDER = tuple(H_BLOCK)
 
 
 def triple_key(triple):
@@ -141,9 +120,8 @@ def orbit_of_triple(triple):
 
     The flip commutes with every letter permutation, so the orbit is the
     permutation images of the triangle and of its flip."""
-    start = tuple(EdgeLabelH(t) for t in triple)
     return frozenset(
-        triangle_perm(t, w) for t in (start, triangle_flip(start)) for w in Permutation.all(3)
+        triangle_perm(t, w) for t in (triple, triangle_flip(triple)) for w in Permutation.all(3)
     )
 
 
@@ -151,7 +129,7 @@ def g3_orbits():
     """All orbits of coarse triangles, sorted by least member."""
     seen = set()
     orbits = []
-    for triple in product(EdgeLabelH, repeat=3):
+    for triple in product(H_BLOCK, repeat=3):
         if triple in seen:
             continue
         orb = orbit_of_triple(triple)
@@ -178,10 +156,10 @@ def six_rule_check(triple) -> bool:
     sign or one of them is zero; slash labels are outside the rule's domain.
     """
     h12, h13, h23 = (coarsen(t) for t in triple)
-    if EdgeLabelH.SLASH in (h12, h13, h23):
+    if "/" in (h12, h13, h23):
         raise ValueError("six-rule applies to sign triangles only")
-    forced = _FORCED.get((h12.value, h23.value))
-    return forced is None or h13.value == forced
+    forced = _FORCED.get((h12, h23))
+    return forced is None or h13 == forced
 
 
 # Recovery of the combinatorial data.
@@ -213,7 +191,7 @@ def recover_nations(m, labels):
     """The letters cut into nations: components of the non-slash edges."""
     return tuple(_components(
         range(1, m.n + 1),
-        lambda i, j: labels[(i, j)] is not EdgeLabelI.SLASH,
+        lambda i, j: labels[(i, j)] != "/",
     ))
 
 
@@ -221,7 +199,7 @@ def recover_counties(nation_vertices, labels):
     """One nation's letters cut into counties: components of the zero edges."""
     return tuple(_components(
         nation_vertices,
-        lambda i, j: labels[(i, j)] is EdgeLabelI.ZERO,
+        lambda i, j: labels[(i, j)] == "0",
     ))
 
 
@@ -232,7 +210,7 @@ def recover_order(counties, labels):
 
     def before(a, b):
         u, v = a[0], b[0]
-        return (coarsen(labels[(min(u, v), max(u, v))]) is EdgeLabelH.PLUS) == (u < v)
+        return (coarsen(labels[(min(u, v), max(u, v))]) == "+") == (u < v)
 
     return tuple(sorted(counties, key=lambda a: -sum(before(a, b) for b in counties if b != a)))
 

@@ -229,10 +229,14 @@ def cmd_selftest(args):
 
 class _Parser(argparse.ArgumentParser):
     """A usage error is malformed input: a JSON error on stdout and exit 2.
-    Subparsers are built from the same class."""
+    Help that cannot be written raises, where argparse would swallow the
+    OSError.  Subparsers are built from the same class."""
 
     def error(self, message):
         raise MalformedInputError(f"{self.prog}: {message}")
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
 
 
 def build_parser():
@@ -311,8 +315,10 @@ def run():
     garbage collections skip every object the command left behind; the
     operating system reclaims them with the process."""
     try:
-        rc = main()
-        sys.stdout.flush()
+        try:
+            rc = main()
+        finally:  # also when --help leaves main by SystemExit
+            sys.stdout.flush()
     except OSError:
         # Python flushes stdout again at exit; what is left goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -35,12 +35,11 @@ from collections import Counter
 from functools import lru_cache
 from itertools import product
 
-from .classify import FINE_LABEL, H_BLOCK, EdgeLabelH, EdgeLabelI, coarsen, g3_orbits, triple_key
+from .classify import FINE_LABEL, H_BLOCK, LABELS, coarsen, g3_orbits, triple_key
 from .errors import MalformedInputError
 from .matchcat import edge_pairs
 from .ybe import PAIR_POLYS, PAIR_REINDEX, TRIPLE_POLYS, TRIPLE_REINDEX
 
-_TOKENS = {label.value for label in (*EdgeLabelH, *EdgeLabelI)}
 _EDGE_OFFSETS = (3, 7, 11)
 
 
@@ -48,8 +47,8 @@ def parse_fibre_type(ftype):
     """A fibre type as a token triple, from "0,+,+" or from a token sequence."""
     if isinstance(ftype, str):
         ftype = (t.strip() for t in ftype.split(","))
-    tokens = tuple(str(t) for t in ftype)
-    if len(tokens) != 3 or any(t not in _TOKENS for t in tokens):
+    tokens = tuple(ftype)
+    if len(tokens) != 3 or any(t not in LABELS for t in tokens):
         raise MalformedInputError(f"bad fibre type {tokens!r}")
     return tokens
 
@@ -210,8 +209,8 @@ def _family_rule(ftype):
     share trace and product.
     """
     coarse = tuple(coarsen(t) for t in ftype)
-    n_slash = coarse.count(EdgeLabelH.SLASH)
-    n_zero = coarse.count(EdgeLabelH.ZERO)
+    n_slash = coarse.count("/")
+    n_zero = coarse.count("0")
     n_sign = 3 - n_slash - n_zero
 
     def offsets(kinds):
@@ -222,9 +221,9 @@ def _family_rule(ftype):
     if n_slash == 3 or n_zero == 3:
         return lambda vec, p: True
     if n_slash == 2 and n_sign <= 1:
-        traced, multiplied = (), offsets((EdgeLabelH.SLASH,))
+        traced, multiplied = (), offsets(("/",))
     elif n_sign == 3 or (n_zero == 1 and n_sign == 2):
-        traced = multiplied = offsets((EdgeLabelH.PLUS, EdgeLabelH.MINUS))
+        traced = multiplied = offsets(("+", "-"))
     else:
         return None
 
@@ -256,11 +255,7 @@ def fibre_summary(ftype, prime):
 
 def default_types():
     """Minimal representative of each coarse orbit, in orbit order."""
-    reps = []
-    for orb in g3_orbits():
-        rep = min(orb, key=triple_key)
-        reps.append(tuple(t.value for t in rep))
-    return tuple(reps)
+    return tuple(min(orb, key=triple_key) for orb in g3_orbits())
 
 
 def fibre_report(prime):

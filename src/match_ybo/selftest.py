@@ -14,7 +14,6 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .classify import (
-    EdgeLabelH,
     classify,
     coarsen,
     edge_labels,
@@ -272,7 +271,7 @@ CLEAN_ORBIT_ROWS = (
 
 
 def _row_triples(row):
-    return frozenset(tuple(EdgeLabelH(ch) for ch in text) for text in row)
+    return frozenset(tuple(text) for text in row)
 
 
 def check_orbit_table(level):
@@ -285,7 +284,7 @@ def check_orbit_table(level):
         triples = _row_triples(row)
         if triples not in computed:
             return False, f"row {row} is not a computed orbit"
-    firsts = [orbit_of_triple(tuple(EdgeLabelH(ch) for ch in row[0])) for row in CLEAN_ORBIT_ROWS]
+    firsts = [orbit_of_triple(tuple(row[0])) for row in CLEAN_ORBIT_ROWS]
     if len(set(firsts)) != len(firsts):
         return False, "first-column entries share an orbit"
     return True, f"{len(orbits)} orbits cover 64; {len(CLEAN_ORBIT_ROWS)} listed rows match"
@@ -335,7 +334,7 @@ def check_no_minus(level):
                             return False, f"county not consecutive at n={n}"
                         pos += len(county.vertices)
                 labs = edge_labels(rec(Germ(fixed, generic_point(fixed, seed=0))))
-                if any(coarsen(l) is EdgeLabelH.MINUS for l in labs.values()):
+                if any(coarsen(l) == "-" for l in labs.values()):
                     return False, f"minus edge survives at n={n}"
                 count += 1
     return True, f"{count} normalized images are minus-free and consecutive"

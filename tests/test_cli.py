@@ -204,20 +204,21 @@ def test_process_run_matches_in_process_main(capsys, tmp_path, kind, code):
 @pytest.mark.parametrize("unbuffered", ["1", None])
 @pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])
 def test_unwritable_stdout_exits_120_without_stderr(target, unbuffered):
-    if target == "closed pipe":
-        read_end, stdout = os.pipe()
-        os.close(read_end)
-    elif os.path.exists(target):
-        stdout = os.open(target, os.O_WRONLY)
-    else:
+    if target != "closed pipe" and not os.path.exists(target):
         pytest.skip(f"no {target} on this platform")
-    try:
-        proc = cli_process("enumerate", "--n", "3", "--format", "text",
-                           env={"PYTHONUNBUFFERED": unbuffered},
-                           stdout=stdout, stderr=subprocess.PIPE)
-    finally:
-        os.close(stdout)
-    assert (proc.returncode, proc.stderr) == (120, b"")
+    # argparse writes --help itself and then raises SystemExit(0)
+    for argv in (["enumerate", "--n", "3", "--format", "text"], ["--help"]):
+        if target == "closed pipe":
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+        else:
+            stdout = os.open(target, os.O_WRONLY)
+        try:
+            proc = cli_process(*argv, env={"PYTHONUNBUFFERED": unbuffered},
+                               stdout=stdout, stderr=subprocess.PIPE)
+        finally:
+            os.close(stdout)
+        assert (argv, proc.returncode, proc.stderr) == (argv, 120, b"")
 
 
 def test_boolean_scalar_exits_2(capsys, tmp_path):
@@ -618,6 +619,9 @@ def test_help_still_prints_usage(capsys):
     out = capsys.readouterr().out
     assert out.startswith("usage: match-ybo fibre")
     assert "3..19" in out  # the --prime bound
+    proc = cli_process("fibre", "--help", capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(b"usage: match-ybo fibre")
 
 
 @pytest.mark.parametrize("nations", [

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from match_ybo.classify import H_BLOCK, EdgeLabelH, coarsen
+from match_ybo.classify import H_BLOCK, coarsen, g3_orbits
 from match_ybo.errors import MalformedInputError
 from match_ybo.oracle import (
     _block_candidates,
@@ -46,6 +46,14 @@ def test_parse_fibre_type():
         parse_fibre_type("0,/")
     with pytest.raises(MalformedInputError):
         parse_fibre_type("0,/,x")
+
+
+def test_triangle_labels_are_fibre_types():
+    # the library's own triangles read as fibre types, with or without the commas
+    for orb in g3_orbits():
+        for t in orb:
+            assert parse_fibre_type(t) == tuple(t)
+            assert fibre_summary(t, 3) == fibre_summary(",".join(t), 3)
 
 
 def test_prime_validation():
@@ -274,7 +282,7 @@ def test_block_candidates_match_brute_force():
                 assert _block_candidates(coarse, s, t, p) == want, (coarse, s, t, p)
                 sizes[coarse, bool(want)] += 1
     # only the slash pattern is never empty: (0, b, 1, 0) passes at any (s, t)
-    assert len(sizes) == 7 and (EdgeLabelH.SLASH, False) not in sizes, sizes
+    assert len(sizes) == 7 and ("/", False) not in sizes, sizes
 
 
 def scanned_vectors(ftype, p):

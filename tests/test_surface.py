@@ -156,7 +156,7 @@ def test_cli_imports_only_what_its_command_runs(tmp_path):
 # Records are named tuples, every command runs in one process, and options
 # are the only settings: the library imports none of these modules and reads
 # no environment variable.
-NEVER_IMPORTED = {"dataclasses", "concurrent", "multiprocessing", "subprocess", "threading"}
+NEVER_IMPORTED = {"dataclasses", "enum", "concurrent", "multiprocessing", "subprocess", "threading"}
 ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
 
 
