@@ -73,7 +73,7 @@ def _config_text(config):
 # T_N grows about 7x per step: N = 10 takes a minute and prints 21 MB.
 ENUMERATE_MAX_N = 10
 # The all-slash fibre alone has (p - 1)^6 vectors: the full report takes
-# about 48 s at p = 19, and the next prime, 23, has (22/18)^6 = 3.3 times
+# about 16 s at p = 19, and the next prime, 23, has (22/18)^6 = 3.3 times
 # as many.
 FIBRE_MAX_PRIME = 19
 
@@ -210,7 +210,7 @@ def cmd_fibre(args):
 
     if args.prime > FIBRE_MAX_PRIME:
         raise MalformedInputError(f"--prime must be at most {FIBRE_MAX_PRIME}, got {args.prime}")
-    if args.type:
+    if args.type is not None:
         emit(fibre_summary(args.type, args.prime))
     else:
         emit(fibre_report(args.prime))

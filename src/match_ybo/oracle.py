@@ -18,7 +18,10 @@ edges 12, 13, 23).
 The constraint images split in two.  The pair relations live on one block and
 its two vertex scalars; `_block_candidates` enforces them on each block before
 any vector is built.  `check_vector` then tests only the 18 images of the
-three relations that couple all three blocks, in 12 grouped tests.
+three relations that couple all three blocks, in 12 grouped tests.  Each of
+their monomials contains a block diagonal, an a or a d, so a vector whose six
+diagonals are all 0 mod p is accepted before those tests; among scanned
+vectors these are exactly the all-slash fibre's, most of a full report's.
 
 The pair relations are homogeneous cubics, so scaling a block and its two
 scalars by s keeps their zero set, and so does the rescaling above with
@@ -64,9 +67,15 @@ def _is_prime(p):
     return True
 
 
-def _compile(reindex, polys):
+def _compile(reindex, polys, blocks):
     """`check(v, p)`: do all images of `polys` under `reindex` vanish mod p?
 
+    `blocks` holds the offsets of the (a, b, c, d) blocks in `v`.  Every
+    monomial of every image must contain a block-diagonal entry, an a or a
+    d, or `_compile` raises; then all images vanish when every diagonal
+    entry is 0 mod p, and `check` accepts such a vector before any other
+    test.  It reads the diagonals block by block in the order of `blocks`
+    and goes on to the tests described next at the first nonzero one.
     p must be prime; `fibre_scan` checks it before the first call.  An image
     whose monomials all share an entry x is x*Q; over the field F_p the
     images x*Q, y*Q, ... with one cofactor Q (up to sign) all vanish exactly
@@ -82,6 +91,7 @@ def _compile(reindex, polys):
     if any(abs(coeff) != 1 for poly in polys for coeff, _ in poly):
         raise ValueError("every coefficient must be +1 or -1")
     names = [f"v{i}" for i in range(len(reindex[0]))]
+    diagonals = [off + k for off in blocks for k in (0, 3)]
 
     def drop(m, x):
         return m[:m.index(x)] + m[m.index(x) + 1:]
@@ -108,11 +118,15 @@ def _compile(reindex, polys):
         """The sum of the monomials, factored, up to sign."""
         return joined(factored(sorted(monos, key=lambda cm: cm[1])))[1]
 
-    lines = ["def check(v, p):", f"    {', '.join(names)} = v"]
+    any_diagonal = " or ".join(f"{names[i]} % p" for i in diagonals)
+    lines = ["def check(v, p):", f"    {', '.join(names)} = v",
+             f"    if not ({any_diagonal}): return True"]
     factors = {}  # cofactor Q -> the shared entries it is multiplied by
     for src in reindex:
         for poly in polys:
             monos = [(coeff, tuple(sorted(src[i] for i in mono))) for coeff, mono in poly]
+            if any(set(m).isdisjoint(diagonals) for _, m in monos):
+                raise ValueError("every monomial must contain a block-diagonal entry")
             shared = set.intersection(*(set(m) for _, m in monos))
             if not shared:
                 lines.append(f"    if ({test(monos)}) % p: return False")
@@ -134,8 +148,11 @@ def _compile(reindex, polys):
 # images of the pair relations placed on the three blocks, which every
 # candidate block already satisfies; only the coupling relations remain.
 # So check_vector is a full check only for vectors built from _block_candidates.
-check_vector = _compile(TRIPLE_REINDEX, TRIPLE_POLYS[5:])
-_pair_ok = _compile(PAIR_REINDEX, PAIR_POLYS)
+# Block 23's diagonals are read first: on "/,/,+", whose blocks 12 and 13
+# are slash, that costs one residue test per vector where layout order
+# would cost five.
+check_vector = _compile(TRIPLE_REINDEX, TRIPLE_POLYS[5:], _EDGE_OFFSETS[::-1])
+_pair_ok = _compile(PAIR_REINDEX, PAIR_POLYS, (2,))  # (a1, a2, a, b, c, d)
 
 
 @lru_cache(maxsize=None)

@@ -32,7 +32,7 @@ def parse_scalar(text) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str) or not (match := _SCALAR_RE.fullmatch(text)):
         raise MalformedInputError(f"bad scalar {text!r}")
-    return Fraction(int(match[1]), int(match[2] or 1))
+    return Fraction(int(match[1]), int(match[2])) if match[2] else Fraction(int(match[1]))
 
 
 def scalar(value) -> Fraction:
@@ -75,7 +75,8 @@ def read(data, shape, path):
 
 def format_scalar(x) -> str:
     """Canonical string for a Fraction: "p" when integral, else "p/q"."""
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

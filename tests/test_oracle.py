@@ -7,7 +7,9 @@ import pytest
 from match_ybo.classify import H_BLOCK, coarsen, g3_orbits
 from match_ybo.errors import MalformedInputError
 from match_ybo.oracle import (
+    _EDGE_OFFSETS,
     _block_candidates,
+    _compile,
     _family_rule,
     _pair_ok,
     check_vector,
@@ -25,6 +27,7 @@ from helpers import enumerate_configurations, enumerate_fibre, x_rescale
 
 # Entry indices (a1 or a2, then a, b, c, d) of each block of the 15-entry vector.
 BLOCKS = ((0, 1, 3, 4, 5, 6), (0, 2, 7, 8, 9, 10), (1, 2, 11, 12, 13, 14))
+DIAGONALS = tuple(blk[k] for blk in BLOCKS for k in (2, 5))
 
 # The frozen p = 7 census: (solutions, matches_family) per orbit representative.
 CENSUS_7 = {
@@ -46,6 +49,8 @@ def test_parse_fibre_type():
         parse_fibre_type("0,/")
     with pytest.raises(MalformedInputError):
         parse_fibre_type("0,/,x")
+    with pytest.raises(MalformedInputError, match=r"^bad fibre type \('',\)$"):
+        parse_fibre_type("")
 
 
 def test_triangle_labels_are_fibre_types():
@@ -294,20 +299,40 @@ def scanned_vectors(ftype, p):
             yield s + b12 + b13 + b23
 
 
+def diagonal_cases(rng, p):
+    """Vectors with random entries whose diagonals are 0 or nonzero multiples
+    of p, then with exactly five of the six diagonals so."""
+    for _ in range(300):
+        v = [rng.randrange(-2 * p, 2 * p) for _ in range(15)]
+        for i in DIAGONALS:
+            v[i] = rng.choice((0, p, -p, 2 * p))
+        yield "all", tuple(v)
+        for i in rng.sample(DIAGONALS, 2):
+            v[i] += rng.randrange(1, p)
+            yield "five", tuple(v)
+            v[i] -= v[i] % p
+
+
 def test_grouped_checkers_match_every_relation_image():
     # The compiled checkers test each shared cofactor Q of images b*Q, c*Q
     # once, as "Q and (b or c)"; compare them with the images one by one.
     # Entries drawn from 0, 1 and any residue make zero factors common.
+    # Both accept a vector whose diagonals all vanish before any such test,
+    # so the diagonal cases also run with every diagonal or all but one 0 mod p.
     rng = random.Random(0)
     for p in (3, 5, 7, 11, 13):
         verdicts = Counter()
-        for _ in range(3000):
-            v = tuple(rng.choice((0, 1, rng.randrange(p))) for _ in range(15))
+        cases = [("any", tuple(rng.choice((0, 1, rng.randrange(p))) for _ in range(15)))
+                 for _ in range(3000)]
+        for kind, v in cases + list(diagonal_cases(rng, p)):
             verdict = check_vector(v, p)
             assert verdict == vanishes(TRIPLE_POLYS[5:], TRIPLE_REINDEX, v, p), (v, p)
-            assert _pair_ok(v[:6], p) == vanishes(PAIR_POLYS, PAIR_REINDEX, v[:6], p), (v, p)
-            verdicts[verdict] += 1
-        assert min(verdicts[True], verdicts[False]) > 10, (p, verdicts)
+            for pair in (v[:6], v[:2] + v[3:7]):
+                assert _pair_ok(pair, p) == vanishes(PAIR_POLYS, PAIR_REINDEX, pair, p), (pair, p)
+            verdicts[kind, verdict] += 1
+        assert verdicts["all", True] == 300 and ("all", False) not in verdicts, (p, verdicts)
+        assert min(verdicts[kind, verdict] for kind in ("any", "five")
+                   for verdict in (True, False)) > 10, (p, verdicts)
     verdicts = Counter()
     for ftype in default_types():
         for v in scanned_vectors(ftype, 5):
@@ -315,6 +340,13 @@ def test_grouped_checkers_match_every_relation_image():
             assert verdict == vanishes(TRIPLE_POLYS[5:], TRIPLE_REINDEX, v, 5), v
             verdicts[verdict] += 1
     assert verdicts == {True: 4540, False: 2452}
+
+
+def test_compile_rejects_a_monomial_without_a_diagonal():
+    # b12*c12*b13 is nonzero with every diagonal 0, so the early accept
+    # would be wrong for it
+    with pytest.raises(ValueError, match="block-diagonal"):
+        _compile(TRIPLE_REINDEX, (((1, (4, 5, 8)), (1, (3, 4, 5))),), _EDGE_OFFSETS)
 
 
 # Coarse label of a gauged block by its zero pattern (a, b, c, d nonzero?).
