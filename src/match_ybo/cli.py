@@ -73,8 +73,8 @@ def _config_text(config):
 # T_N grows about 7x per step: N = 10 takes a minute and prints 21 MB.
 ENUMERATE_MAX_N = 10
 # The all-slash fibre alone has (p - 1)^6 vectors: the full report takes
-# about 16 s at p = 19, and the next prime, 23, has (22/18)^6 = 3.3 times
-# as many.
+# 11-21 s at p = 19 on a 2-CPU host as its load varies, and the next
+# prime, 23, has (22/18)^6 = 3.3 times as many.
 FIBRE_MAX_PRIME = 19
 
 

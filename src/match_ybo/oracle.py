@@ -22,6 +22,10 @@ three relations that couple all three blocks, in 12 grouped tests.  Each of
 their monomials contains a block diagonal, an a or a d, so a vector whose six
 diagonals are all 0 mod p is accepted before those tests; among scanned
 vectors these are exactly the all-slash fibre's, most of a full report's.
+When the diagonals of two blocks vanish, the images with those four entries
+set to 0 reduce to one test, the paper's two-slash rule: the two blocks'
+products b*c agree, unless the third block's diagonals vanish too.  Among
+scanned vectors these are exactly the two-slash fibres', such as "/,/,+".
 
 The pair relations are homogeneous cubics, so scaling a block and its two
 scalars by s keeps their zero set, and so does the rescaling above with
@@ -34,7 +38,6 @@ a vector costs fewer multiplications than its monomials list.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import product
 
@@ -74,8 +77,15 @@ def _compile(reindex, polys, blocks):
     monomial of every image must contain a block-diagonal entry, an a or a
     d, or `_compile` raises; then all images vanish when every diagonal
     entry is 0 mod p, and `check` accepts such a vector before any other
-    test.  It reads the diagonals block by block in the order of `blocks`
-    and goes on to the tests described next at the first nonzero one.
+    test.  When the diagonals vanish on every block but one, `check`
+    decides the vector by a leaf: the tests described next, built for the
+    images with those entries set to 0.  It reads the blocks' diagonals in
+    the order of `blocks` until one is nonzero; that block's leaf is then
+    the only one left, and the diagonals of the blocks after it are read
+    together, their a's first.  A leaf leaves out a guard that names both
+    diagonals of its nonzero block, so no diagonal is read twice.  A vector
+    that no leaf decides goes on to the tests of the images themselves.
+    With one block the only leaf is the accept.
     p must be prime; `fibre_scan` checks it before the first call.  An image
     whose monomials all share an entry x is x*Q; over the field F_p the
     images x*Q, y*Q, ... with one cofactor Q (up to sign) all vanish exactly
@@ -91,7 +101,12 @@ def _compile(reindex, polys, blocks):
     if any(abs(coeff) != 1 for poly in polys for coeff, _ in poly):
         raise ValueError("every coefficient must be +1 or -1")
     names = [f"v{i}" for i in range(len(reindex[0]))]
-    diagonals = [off + k for off in blocks for k in (0, 3)]
+    diagonals = {off: {off, off + 3} for off in blocks}
+    images = [[(coeff, tuple(sorted([src[i] for i in mono]))) for coeff, mono in poly]
+              for src in reindex for poly in polys]
+    every_diagonal = set().union(*diagonals.values())
+    if any(every_diagonal.isdisjoint(m) for monos in images for _, m in monos):
+        raise ValueError("every monomial must contain a block-diagonal entry")
 
     def drop(m, x):
         return m[:m.index(x)] + m[m.index(x) + 1:]
@@ -100,9 +115,9 @@ def _compile(reindex, polys, blocks):
         """(sign, text) terms summing to the (coefficient, entries) monomials."""
         if not monos:
             return []
-        counts = Counter(i for _, m in monos for i in set(m))
-        x = min(counts, key=lambda i: (-counts[i], i))
-        if counts[x] == 1:
+        entries = [i for _, m in monos for i in set(m)]
+        x = max(sorted(set(entries)), key=entries.count)
+        if entries.count(x) == 1:
             return [(c, "*".join(names[i] for i in m)) for c, m in monos]
         inner = factored([(c, drop(m, x)) for c, m in monos if x in m])
         sign, text = joined(inner)
@@ -118,26 +133,49 @@ def _compile(reindex, polys, blocks):
         """The sum of the monomials, factored, up to sign."""
         return joined(factored(sorted(monos, key=lambda cm: cm[1])))[1]
 
-    any_diagonal = " or ".join(f"{names[i]} % p" for i in diagonals)
-    lines = ["def check(v, p):", f"    {', '.join(names)} = v",
-             f"    if not ({any_diagonal}): return True"]
-    factors = {}  # cofactor Q -> the shared entries it is multiplied by
-    for src in reindex:
-        for poly in polys:
-            monos = [(coeff, tuple(sorted(src[i] for i in mono))) for coeff, mono in poly]
-            if any(set(m).isdisjoint(diagonals) for _, m in monos):
-                raise ValueError("every monomial must contain a block-diagonal entry")
+    def failures(zero=frozenset(), nonzero=frozenset()):
+        """One condition per test, true when a vector fails it, for the images
+        with the entries in `zero` set to 0.  A guard naming every entry of
+        `nonzero`, one of which is known to be nonzero, is true: left out."""
+        conds = []
+        factors = {}  # cofactor Q -> the shared entries it is multiplied by
+        for image in images:
+            monos = [(c, m) for c, m in image if zero.isdisjoint(m)]
+            if not monos:
+                continue
             shared = set.intersection(*(set(m) for _, m in monos))
             if not shared:
-                lines.append(f"    if ({test(monos)}) % p: return False")
+                conds.append(f"({test(monos)}) % p")
                 continue
             x = min(shared)
             q = sorted((drop(m, x), c) for c, m in monos)
             sign = q[0][1]
             factors.setdefault(tuple((c * sign, m) for m, c in q), set()).add(x)
-    for q, xs in factors.items():
-        nonzero = " or ".join(f"{names[x]} % p" for x in sorted(xs))
-        lines.append(f"    if ({test(q)}) % p and ({nonzero}): return False")
+        for q, xs in factors.items():
+            guard = " or ".join(f"{names[x]} % p" for x in sorted(xs))
+            known = nonzero and nonzero <= xs
+            conds.append(f"({test(q)}) % p" + ("" if known else f" and ({guard})"))
+        return conds
+
+    def some_diagonal(offs):
+        """Is a diagonal entry of the blocks at `offs` nonzero?  The a's are read first."""
+        return " or ".join(f"{names[off + k]} % p" for k in (0, 3) for off in offs)
+
+    def leaf(missing):
+        """The verdict on a vector whose diagonals vanish on every block but `missing`."""
+        zero = set().union(*(d for off, d in diagonals.items() if off != missing))
+        return f"return not ({' or '.join(failures(zero, diagonals[missing]))})"
+
+    if len(blocks) == 1:  # no leaf but the accept
+        lines = [f"if not ({some_diagonal(blocks)}): return True"]
+    else:
+        lines = []
+        for i, off in enumerate(blocks):
+            rest = f"if not ({some_diagonal(blocks[i + 1:])}): " if blocks[i + 1:] else ""
+            lines += [f"{'el' if i else ''}if {some_diagonal([off])}:", f"    {rest}{leaf(off)}"]
+        lines.append("else: return True")
+    lines += [f"if {cond}: return False" for cond in failures()]
+    lines = ["def check(v, p):", f"    {', '.join(names)} = v"] + ["    " + line for line in lines]
     lines.append("    return True")
     ns = {}
     exec("\n".join(lines), ns)
@@ -148,9 +186,10 @@ def _compile(reindex, polys, blocks):
 # images of the pair relations placed on the three blocks, which every
 # candidate block already satisfies; only the coupling relations remain.
 # So check_vector is a full check only for vectors built from _block_candidates.
-# Block 23's diagonals are read first: on "/,/,+", whose blocks 12 and 13
-# are slash, that costs one residue test per vector where layout order
-# would cost five.
+# Block 23's diagonals are read first, then those of 13 and 12: among
+# scanned vectors only a slash block's diagonals both vanish, so a vector
+# with at most one slash block reaches the 12 tests after at most two
+# residue tests more than the accept alone would read.
 check_vector = _compile(TRIPLE_REINDEX, TRIPLE_POLYS[5:], _EDGE_OFFSETS[::-1])
 _pair_ok = _compile(PAIR_REINDEX, PAIR_POLYS, (2,))  # (a1, a2, a, b, c, d)
 
@@ -217,6 +256,11 @@ def fibre_scan(ftype, prime):
                         yield vec
 
 
+def _every_hit(vec, p):
+    """The family rule of a fibre whose pattern alone cuts out its family."""
+    return True
+
+
 def _family_rule(ftype):
     """`rule(vec, p)`: is a hit of the fibre in its parametrized family?
 
@@ -233,10 +277,10 @@ def _family_rule(ftype):
     def offsets(kinds):
         return [off for c, off in zip(coarse, _EDGE_OFFSETS) if c in kinds]
 
-    # `rule` with nothing to compare is also always True, but costs about
-    # 1 s more on the million hits of the all-slash fibre at p = 11.
+    # `fibre_summary` knows `_every_hit` by identity and calls no rule on
+    # the hits of these fibres, a million for the all-slash one at p = 11.
     if n_slash == 3 or n_zero == 3:
-        return lambda vec, p: True
+        return _every_hit
     if n_slash == 2 and n_sign <= 1:
         traced, multiplied = (), offsets(("/",))
     elif n_sign == 3 or (n_zero == 1 and n_sign == 2):
@@ -258,9 +302,10 @@ def fibre_summary(ftype, prime):
     rule = _family_rule(ftype)
     count = 0
     family = None if rule is None else True
+    testing = family and rule is not _every_hit
     for vec in fibre_scan(ftype, prime):
-        if family:
-            family = rule(vec, prime)
+        if testing:
+            testing = family = rule(vec, prime)
         count += 1
     return {
         "type": ",".join(ftype),

@@ -160,9 +160,16 @@ def base_constraints(m3):
 # -- oracle
 
 
+# Above the largest fibre the tests list (46,656 all-slash hits at p = 7):
+# a checker that accepts too much fails here instead of filling memory.
+MAX_HITS = 100_000
+
+
 def enumerate_fibre(ftype, prime):
-    """All gauged hits of a fibre as a list."""
-    return list(fibre_scan(ftype, prime))
+    """All gauged hits of a fibre as a list; more than MAX_HITS fails."""
+    hits = list(itertools.islice(fibre_scan(ftype, prime), MAX_HITS + 1))
+    assert len(hits) <= MAX_HITS, (ftype, prime, "too many hits")
+    return hits
 
 
 def x_rescale(vec, edge, x, p):

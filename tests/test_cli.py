@@ -689,13 +689,14 @@ def test_fibre_type_starting_with_minus(capsys):
 
 
 # sha256 of the full report's stdout; the pinned call pool runs only single
-# fibres. At p = 11 the all-slash fibre is most of the report, and
+# fibres. At p = 11 and 13 the all-slash fibre is most of the report, and
 # check_vector accepts its vectors on their zero diagonals alone.
 FIBRE_REPORT_SHA256 = {
     3: "e339e6445ec3f684cafbde587bb4b91ebc0e9e2f70405356bd46de931f20a975",
     5: "473bdd2421a6e6c43b4eacd64b638d18d0d24ca76634d25af6a77b8cbd51299e",
     7: "5d1490e6041e6acf5afcbcdeaaaefee11e49e3ff2882e53dc74b52a74be22b27",
     11: "b2fe0071b61f65d7b62c01da865f3bac54bc06759d914a8e1660fe9b113b5979",
+    13: "bcd16a726e2116ebaa9dc30d2d99799ee16892311a2d480f73e17c8fec307297",
 }
 
 

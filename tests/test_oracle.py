@@ -28,6 +28,8 @@ from helpers import enumerate_configurations, enumerate_fibre, x_rescale
 # Entry indices (a1 or a2, then a, b, c, d) of each block of the 15-entry vector.
 BLOCKS = ((0, 1, 3, 4, 5, 6), (0, 2, 7, 8, 9, 10), (1, 2, 11, 12, 13, 14))
 DIAGONALS = tuple(blk[k] for blk in BLOCKS for k in (2, 5))
+# The block pairs by edge, as indices into BLOCKS.
+BLOCK_PAIRS = {"12,13": (0, 1), "12,23": (0, 2), "13,23": (1, 2)}
 
 # The frozen p = 7 census: (solutions, matches_family) per orbit representative.
 CENSUS_7 = {
@@ -227,6 +229,7 @@ def test_scan_matches_reference_at_5():
 
 
 def test_census_table_at_7():
+    assert_candidate_sizes(7)
     report = fibre_report(7)
     assert {r["type"]: (r["solutions"], r["matches_family"]) for r in report} == CENSUS_7
     assert [r["type"] for r in report] == list(CENSUS_7)
@@ -236,6 +239,9 @@ def test_census_table_at_7():
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_census_counts_are_the_germ_count_polynomials(p):
+    # a checker that accepts too much grows the candidate lists, and with
+    # them the scan, by a factor of up to p - 1 per block: fail before it
+    assert_candidate_sizes(p)
     # a type FIBRE_COUNTS lists that is no default type would go unchecked
     types = [",".join(t) for t in default_types()]
     assert set(FIBRE_COUNTS) <= set(types)
@@ -277,6 +283,29 @@ def brute_candidates(coarse, s, t, p):
     return tuple(blk for blk in product(*ranges) if _pair_ok((s, t) + blk, p))
 
 
+def candidate_size(coarse, s, t, p):
+    """The size of `_block_candidates(coarse, s, t, p)`, in closed form."""
+    if coarse == "/":
+        return p - 1
+    if coarse == "0":
+        return int(s == t)
+    return p - 2 if s == t else int((s + t) % p != 0)
+
+
+def assert_candidate_sizes(p):
+    for coarse in H_BLOCK:
+        for s, t in product(range(1, p), repeat=2):
+            got = len(_block_candidates(coarse, s, t, p))
+            assert got == candidate_size(coarse, s, t, p), (coarse, s, t, p, got)
+
+
+def test_block_candidate_sizes_are_closed_forms():
+    # brute_candidates runs _pair_ok too, so a broken pair checker passes
+    # test_block_candidates_match_brute_force; these sizes do not read it
+    for p in (3, 5, 7, 11, 13):
+        assert_candidate_sizes(p)
+
+
 def test_block_candidates_match_brute_force():
     # the candidates at (s, t) are those at (1, t/s) scaled by s: same tuple, same order
     sizes = Counter()
@@ -301,7 +330,9 @@ def scanned_vectors(ftype, p):
 
 def diagonal_cases(rng, p):
     """Vectors with random entries whose diagonals are 0 or nonzero multiples
-    of p, then with exactly five of the six diagonals so."""
+    of p, then with exactly five of the six diagonals so; and, for each block
+    pair, random vectors whose pair's four diagonals are so, a third of them
+    with equal products b*c on the pair."""
     for _ in range(300):
         v = [rng.randrange(-2 * p, 2 * p) for _ in range(15)]
         for i in DIAGONALS:
@@ -311,6 +342,26 @@ def diagonal_cases(rng, p):
             v[i] += rng.randrange(1, p)
             yield "five", tuple(v)
             v[i] -= v[i] % p
+        for kind, pair in BLOCK_PAIRS.items():
+            v = [rng.randrange(-2 * p, 2 * p) for _ in range(15)]
+            for blk in pair:
+                for k in (2, 5):
+                    v[BLOCKS[blk][k]] = rng.choice((0, p, -p, 2 * p))
+            if rng.randrange(3) == 0:  # equal products: (b, c) swapped onto the second block
+                first, second = (BLOCKS[blk] for blk in pair)
+                v[second[3]], v[second[4]] = v[first[4]], v[first[3]]
+            yield kind, tuple(v)
+
+
+def two_slash_verdict(kind, v, p):
+    """The paper's two-slash rule on a vector whose pair of blocks has only
+    vanishing diagonals: a solution exactly when the third block's diagonals
+    vanish too or the pair's two products b*c agree."""
+    pair = BLOCK_PAIRS[kind]
+    (third,) = {0, 1, 2} - set(pair)
+    if all(v[BLOCKS[third][k]] % p == 0 for k in (2, 5)):
+        return True
+    return len({v[BLOCKS[blk][3]] * v[BLOCKS[blk][4]] % p for blk in pair}) == 1
 
 
 def test_grouped_checkers_match_every_relation_image():
@@ -319,6 +370,8 @@ def test_grouped_checkers_match_every_relation_image():
     # Entries drawn from 0, 1 and any residue make zero factors common.
     # Both accept a vector whose diagonals all vanish before any such test,
     # so the diagonal cases also run with every diagonal or all but one 0 mod p.
+    # check_vector decides a vector whose diagonals vanish on two blocks by
+    # one test, so each block pair also gets cases of its own.
     rng = random.Random(0)
     for p in (3, 5, 7, 11, 13):
         verdicts = Counter()
@@ -329,9 +382,11 @@ def test_grouped_checkers_match_every_relation_image():
             assert verdict == vanishes(TRIPLE_POLYS[5:], TRIPLE_REINDEX, v, p), (v, p)
             for pair in (v[:6], v[:2] + v[3:7]):
                 assert _pair_ok(pair, p) == vanishes(PAIR_POLYS, PAIR_REINDEX, pair, p), (pair, p)
+            if kind in BLOCK_PAIRS:
+                assert verdict == two_slash_verdict(kind, v, p), (kind, v, p)
             verdicts[kind, verdict] += 1
         assert verdicts["all", True] == 300 and ("all", False) not in verdicts, (p, verdicts)
-        assert min(verdicts[kind, verdict] for kind in ("any", "five")
+        assert min(verdicts[kind, verdict] for kind in ("any", "five", *BLOCK_PAIRS)
                    for verdict in (True, False)) > 10, (p, verdicts)
     verdicts = Counter()
     for ftype in default_types():
