@@ -32,8 +32,14 @@ scalars by s keeps their zero set, and so does the rescaling above with
 x = s, which restores the gauge.  The candidates at scalars (s, t) are
 therefore those at (1, t/s) mapped by (a, b, c, d) -> (s a, s^2 b, c, s d):
 the relations are scanned over p - 1 scalar pairs, not (p - 1)^2.  Each
-grouped test is a polynomial written factored, as `_compile` describes, so
-a vector costs fewer multiplications than its monomials list.
+grouped test is a polynomial written factored, so a vector costs fewer
+multiplications than its monomials list.
+
+No test text is written by hand.  `check_vector` and the pair checker
+`_pair_ok` are plain code, the output of `checker_source` in
+tests/helpers.py for the relation data of `ybe`; that function states how
+the tests are built and checks the data they rely on, and a test fails
+when either checker's source differs from its output.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ from itertools import product
 from .classify import FINE_LABEL, H_BLOCK, LABELS, coarsen, g3_orbits, triple_key
 from .errors import MalformedInputError
 from .matchcat import edge_pairs
-from .ybe import PAIR_POLYS, PAIR_REINDEX, TRIPLE_POLYS, TRIPLE_REINDEX
 
 _EDGE_OFFSETS = (3, 7, 11)
 
@@ -70,118 +75,11 @@ def _is_prime(p):
     return True
 
 
-def _compile(reindex, polys, blocks):
-    """`check(v, p)`: do all images of `polys` under `reindex` vanish mod p?
-
-    `blocks` holds the offsets of the (a, b, c, d) blocks in `v`.  Every
-    monomial of every image must contain a block-diagonal entry, an a or a
-    d, or `_compile` raises; then all images vanish when every diagonal
-    entry is 0 mod p, and `check` accepts such a vector before any other
-    test.  When the diagonals vanish on every block but one, `check`
-    decides the vector by a leaf: the tests described next, built for the
-    images with those entries set to 0.  It reads the blocks' diagonals in
-    the order of `blocks` until one is nonzero; that block's leaf is then
-    the only one left, and the diagonals of the blocks after it are read
-    together, their a's first.  A leaf leaves out a guard that names both
-    diagonals of its nonzero block, so no diagonal is read twice.  A vector
-    that no leaf decides goes on to the tests of the images themselves.
-    With one block the only leaf is the accept.
-    p must be prime; `fibre_scan` checks it before the first call.  An image
-    whose monomials all share an entry x is x*Q; over the field F_p the
-    images x*Q, y*Q, ... with one cofactor Q (up to sign) all vanish exactly
-    when Q does or x, y, ... all do.  So `check` tests the images with no
-    shared entry, then each distinct Q once.  Each tested polynomial is
-    written factored: the entry in most of its monomials (the least on a
-    tie) is factored out of them, recursively, and then out of the rest.
-    A test's overall sign is free, since x = 0 exactly when -x = 0, so no
-    unary minus is written: -v7*v14*v14+v7*v7*v14-v3*v12*v13+v3*v8*v9 is
-    tested as v3*(v8*v9-v12*v13)+v7*v14*(v7-v14).
-    Unpacks `v` into locals once; a coefficient other than +1 or -1 raises.
-    """
-    if any(abs(coeff) != 1 for poly in polys for coeff, _ in poly):
-        raise ValueError("every coefficient must be +1 or -1")
-    names = [f"v{i}" for i in range(len(reindex[0]))]
-    diagonals = {off: {off, off + 3} for off in blocks}
-    images = [[(coeff, tuple(sorted([src[i] for i in mono]))) for coeff, mono in poly]
-              for src in reindex for poly in polys]
-    every_diagonal = set().union(*diagonals.values())
-    if any(every_diagonal.isdisjoint(m) for monos in images for _, m in monos):
-        raise ValueError("every monomial must contain a block-diagonal entry")
-
-    def drop(m, x):
-        return m[:m.index(x)] + m[m.index(x) + 1:]
-
-    def factored(monos):
-        """(sign, text) terms summing to the (coefficient, entries) monomials."""
-        if not monos:
-            return []
-        entries = [i for _, m in monos for i in set(m)]
-        x = max(sorted(set(entries)), key=entries.count)
-        if entries.count(x) == 1:
-            return [(c, "*".join(names[i] for i in m)) for c, m in monos]
-        inner = factored([(c, drop(m, x)) for c, m in monos if x in m])
-        sign, text = joined(inner)
-        head = f"{names[x]}*{text}" if len(inner) == 1 else f"{names[x]}*({text})"
-        return [(sign, head)] + factored([(c, m) for c, m in monos if x not in m])
-
-    def joined(terms):
-        """(sign, text) with sign * text the sum of the terms; text has no unary minus."""
-        (lead, first), *rest = terms
-        return lead, first + "".join(("+" if c == lead else "-") + t for c, t in rest)
-
-    def test(monos):
-        """The sum of the monomials, factored, up to sign."""
-        return joined(factored(sorted(monos, key=lambda cm: cm[1])))[1]
-
-    def failures(zero=frozenset(), nonzero=frozenset()):
-        """One condition per test, true when a vector fails it, for the images
-        with the entries in `zero` set to 0.  A guard naming every entry of
-        `nonzero`, one of which is known to be nonzero, is true: left out."""
-        conds = []
-        factors = {}  # cofactor Q -> the shared entries it is multiplied by
-        for image in images:
-            monos = [(c, m) for c, m in image if zero.isdisjoint(m)]
-            if not monos:
-                continue
-            shared = set.intersection(*(set(m) for _, m in monos))
-            if not shared:
-                conds.append(f"({test(monos)}) % p")
-                continue
-            x = min(shared)
-            q = sorted((drop(m, x), c) for c, m in monos)
-            sign = q[0][1]
-            factors.setdefault(tuple((c * sign, m) for m, c in q), set()).add(x)
-        for q, xs in factors.items():
-            guard = " or ".join(f"{names[x]} % p" for x in sorted(xs))
-            known = nonzero and nonzero <= xs
-            conds.append(f"({test(q)}) % p" + ("" if known else f" and ({guard})"))
-        return conds
-
-    def some_diagonal(offs):
-        """Is a diagonal entry of the blocks at `offs` nonzero?  The a's are read first."""
-        return " or ".join(f"{names[off + k]} % p" for k in (0, 3) for off in offs)
-
-    def leaf(missing):
-        """The verdict on a vector whose diagonals vanish on every block but `missing`."""
-        zero = set().union(*(d for off, d in diagonals.items() if off != missing))
-        return f"return not ({' or '.join(failures(zero, diagonals[missing]))})"
-
-    if len(blocks) == 1:  # no leaf but the accept
-        lines = [f"if not ({some_diagonal(blocks)}): return True"]
-    else:
-        lines = []
-        for i, off in enumerate(blocks):
-            rest = f"if not ({some_diagonal(blocks[i + 1:])}): " if blocks[i + 1:] else ""
-            lines += [f"{'el' if i else ''}if {some_diagonal([off])}:", f"    {rest}{leaf(off)}"]
-        lines.append("else: return True")
-    lines += [f"if {cond}: return False" for cond in failures()]
-    lines = ["def check(v, p):", f"    {', '.join(names)} = v"] + ["    " + line for line in lines]
-    lines.append("    return True")
-    ns = {}
-    exec("\n".join(lines), ns)
-    return ns["check"]
-
-
+# The two checkers below are the output of `checker_source` in
+# tests/helpers.py: change the generator and paste its output.
+#
+# check_vector: the 18 images of ybe.TRIPLE_POLYS[5:] under
+# ybe.TRIPLE_REINDEX, with the blocks at offsets 11, 7, 3.
 # The 30 images of the first five relations (24 distinct) are exactly the
 # images of the pair relations placed on the three blocks, which every
 # candidate block already satisfies; only the coupling relations remain.
@@ -190,8 +88,43 @@ def _compile(reindex, polys, blocks):
 # scanned vectors only a slash block's diagonals both vanish, so a vector
 # with at most one slash block reaches the 12 tests after at most two
 # residue tests more than the accept alone would read.
-check_vector = _compile(TRIPLE_REINDEX, TRIPLE_POLYS[5:], _EDGE_OFFSETS[::-1])
-_pair_ok = _compile(PAIR_REINDEX, PAIR_POLYS, (2,))  # (a1, a2, a, b, c, d)
+def check_vector(v, p):
+    v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14 = v
+    if v11 % p or v14 % p:
+        if not (v7 % p or v3 % p or v10 % p or v6 % p): return not ((v4*v5-v8*v9) % p)
+    elif v7 % p or v10 % p:
+        if not (v3 % p or v6 % p): return not ((v4*v5-v12*v13) % p)
+    elif v3 % p or v6 % p:
+        return not ((v8*v9-v12*v13) % p)
+    else: return True
+    if (v3*(v8*v9-v12*v13)+v7*v14*(v7-v14)) % p: return False
+    if (v3*v11*(v3-v11)+v7*(v4*v5-v12*v13)) % p: return False
+    if (v6*(v8*v9-v12*v13)+v10*v11*(v10-v11)) % p: return False
+    if (v6*v14*(v6-v14)+v10*(v4*v5-v12*v13)) % p: return False
+    if (v6*v7*(v6-v7)+v11*(v4*v5-v8*v9)) % p: return False
+    if (v3*v10*(v3-v10)+v14*(v4*v5-v8*v9)) % p: return False
+    if (v10*(v3-v14)+v6*v14) % p and (v4 % p or v5 % p): return False
+    if (v7*(v6-v11)+v3*v11) % p and (v4 % p or v5 % p): return False
+    if (v6*(v7-v11)+v10*v11) % p and (v8 % p or v9 % p): return False
+    if (v3*(v10-v14)+v7*v14) % p and (v8 % p or v9 % p): return False
+    if (v3*(v7-v11)-v7*v14) % p and (v12 % p or v13 % p): return False
+    if (v6*(v10-v14)-v10*v11) % p and (v12 % p or v13 % p): return False
+    return True
+
+
+# _pair_ok: the images of ybe.PAIR_POLYS under ybe.PAIR_REINDEX on
+# (a1, a2, a, b, c, d), one block at offset 2.
+def _pair_ok(v, p):
+    v0, v1, v2, v3, v4, v5 = v
+    if not (v2 % p or v5 % p): return True
+    if (v0*(v0-v2)-v3*v4) % p and (v2 % p): return False
+    if (v1*(v1-v2)-v3*v4) % p and (v2 % p): return False
+    if (v4*v5) % p and (v2 % p): return False
+    if (v3*v5) % p and (v2 % p): return False
+    if (v5*(v2-v5)) % p and (v2 % p): return False
+    if (v1*(v1-v5)-v3*v4) % p and (v5 % p): return False
+    if (v0*(v0-v5)-v3*v4) % p and (v5 % p): return False
+    return True
 
 
 @lru_cache(maxsize=None)

@@ -172,6 +172,118 @@ def enumerate_fibre(ftype, prime):
     return hits
 
 
+def checker_source(name, reindex, polys, blocks):
+    """The text of `def name(v, p)`: do all images of `polys` under `reindex`
+    vanish mod p?  `oracle.py` holds this text for its two census checkers,
+    and a test compares it with their source.
+
+    `blocks` holds the offsets of the (a, b, c, d) blocks in `v`.  Every
+    monomial of every image must contain a block-diagonal entry, an a or a
+    d, or this raises; then all images vanish when every diagonal entry is
+    0 mod p, and the checker accepts such a vector before any other test.
+    When the diagonals vanish on every block but one, the checker decides
+    the vector by a leaf: the tests described next, built for the images
+    with those entries set to 0.  It reads the blocks' diagonals in the
+    order of `blocks` until one is nonzero; that block's leaf is then the
+    only one left, and the diagonals of the blocks after it are read
+    together, their a's first.  A leaf leaves out a guard that names both
+    diagonals of its nonzero block, so no diagonal is read twice.  A vector
+    that no leaf decides goes on to the tests of the images themselves.
+    With one block the only leaf is the accept.
+    p must be prime; `fibre_scan` checks it before the first call.  An image
+    whose monomials all share an entry x is x*Q; over the field F_p the
+    images x*Q, y*Q, ... with one cofactor Q (up to sign) all vanish exactly
+    when Q does or x, y, ... all do.  So the checker tests the images with no
+    shared entry, then each distinct Q once.  Each tested polynomial is
+    written factored: the entry in most of its monomials (the least on a
+    tie) is factored out of them, recursively, and then out of the rest.
+    A test's overall sign is free, since x = 0 exactly when -x = 0, so no
+    unary minus is written: -v7*v14*v14+v7*v7*v14-v3*v12*v13+v3*v8*v9 is
+    tested as v3*(v8*v9-v12*v13)+v7*v14*(v7-v14).
+    The checker unpacks `v` into locals once; a coefficient other than +1
+    or -1 raises.
+    """
+    if any(abs(coeff) != 1 for poly in polys for coeff, _ in poly):
+        raise ValueError("every coefficient must be +1 or -1")
+    names = [f"v{i}" for i in range(len(reindex[0]))]
+    diagonals = {off: {off, off + 3} for off in blocks}
+    images = [[(coeff, tuple(sorted([src[i] for i in mono]))) for coeff, mono in poly]
+              for src in reindex for poly in polys]
+    every_diagonal = set().union(*diagonals.values())
+    if any(every_diagonal.isdisjoint(m) for monos in images for _, m in monos):
+        raise ValueError("every monomial must contain a block-diagonal entry")
+
+    def drop(m, x):
+        return m[:m.index(x)] + m[m.index(x) + 1:]
+
+    def factored(monos):
+        """(sign, text) terms summing to the (coefficient, entries) monomials."""
+        if not monos:
+            return []
+        entries = [i for _, m in monos for i in set(m)]
+        x = max(sorted(set(entries)), key=entries.count)
+        if entries.count(x) == 1:
+            return [(c, "*".join(names[i] for i in m)) for c, m in monos]
+        inner = factored([(c, drop(m, x)) for c, m in monos if x in m])
+        sign, text = joined(inner)
+        head = f"{names[x]}*{text}" if len(inner) == 1 else f"{names[x]}*({text})"
+        return [(sign, head)] + factored([(c, m) for c, m in monos if x not in m])
+
+    def joined(terms):
+        """(sign, text) with sign * text the sum of the terms; text has no unary minus."""
+        (lead, first), *rest = terms
+        return lead, first + "".join(("+" if c == lead else "-") + t for c, t in rest)
+
+    def test(monos):
+        """The sum of the monomials, factored, up to sign."""
+        return joined(factored(sorted(monos, key=lambda cm: cm[1])))[1]
+
+    def failures(zero=frozenset(), nonzero=frozenset()):
+        """One condition per test, true when a vector fails it, for the images
+        with the entries in `zero` set to 0.  A guard naming every entry of
+        `nonzero`, one of which is known to be nonzero, is true: left out."""
+        conds = []
+        factors = {}  # cofactor Q -> the shared entries it is multiplied by
+        for image in images:
+            monos = [(c, m) for c, m in image if zero.isdisjoint(m)]
+            if not monos:
+                continue
+            shared = set.intersection(*(set(m) for _, m in monos))
+            if not shared:
+                conds.append(f"({test(monos)}) % p")
+                continue
+            x = min(shared)
+            q = sorted((drop(m, x), c) for c, m in monos)
+            sign = q[0][1]
+            factors.setdefault(tuple((c * sign, m) for m, c in q), set()).add(x)
+        for q, xs in factors.items():
+            guard = " or ".join(f"{names[x]} % p" for x in sorted(xs))
+            known = nonzero and nonzero <= xs
+            conds.append(f"({test(q)}) % p" + ("" if known else f" and ({guard})"))
+        return conds
+
+    def some_diagonal(offs):
+        """Is a diagonal entry of the blocks at `offs` nonzero?  The a's are read first."""
+        return " or ".join(f"{names[off + k]} % p" for k in (0, 3) for off in offs)
+
+    def leaf(missing):
+        """The verdict on a vector whose diagonals vanish on every block but `missing`."""
+        zero = set().union(*(d for off, d in diagonals.items() if off != missing))
+        return f"return not ({' or '.join(failures(zero, diagonals[missing]))})"
+
+    if len(blocks) == 1:  # no leaf but the accept
+        lines = [f"if not ({some_diagonal(blocks)}): return True"]
+    else:
+        lines = []
+        for i, off in enumerate(blocks):
+            rest = f"if not ({some_diagonal(blocks[i + 1:])}): " if blocks[i + 1:] else ""
+            lines += [f"{'el' if i else ''}if {some_diagonal([off])}:", f"    {rest}{leaf(off)}"]
+        lines.append("else: return True")
+    lines += [f"if {cond}: return False" for cond in failures()]
+    lines = [f"def {name}(v, p):", f"    {', '.join(names)} = v"] + ["    " + line for line in lines]
+    return "\n".join(lines) + "\n    return True\n"
+
+
 def x_rescale(vec, edge, x, p):
     """Apply the X-action with parameter x at one edge (0, 1, or 2) mod p."""
     if x % p == 0:

@@ -1,3 +1,4 @@
+import inspect
 import random
 from collections import Counter, defaultdict
 from itertools import product
@@ -9,7 +10,6 @@ from match_ybo.errors import MalformedInputError
 from match_ybo.oracle import (
     _EDGE_OFFSETS,
     _block_candidates,
-    _compile,
     _family_rule,
     _pair_ok,
     check_vector,
@@ -23,7 +23,7 @@ from match_ybo.recipe import Germ, ParamPoint, rec
 from match_ybo.selftest import FIBRE_COUNTS
 from match_ybo.ybe import PAIR_POLYS, PAIR_REINDEX, TRIPLE_POLYS, TRIPLE_REINDEX, eval_poly
 
-from helpers import enumerate_configurations, enumerate_fibre, x_rescale
+from helpers import checker_source, enumerate_configurations, enumerate_fibre, x_rescale
 
 # Entry indices (a1 or a2, then a, b, c, d) of each block of the 15-entry vector.
 BLOCKS = ((0, 1, 3, 4, 5, 6), (0, 2, 7, 8, 9, 10), (1, 2, 11, 12, 13, 14))
@@ -397,11 +397,28 @@ def test_grouped_checkers_match_every_relation_image():
     assert verdicts == {True: 4540, False: 2452}
 
 
-def test_compile_rejects_a_monomial_without_a_diagonal():
+def test_checkers_are_the_generator_output():
+    # the checked-in checkers are generated text: an edit by hand, or a
+    # change to the generator or the relation data, fails here
+    assert inspect.getsource(check_vector) == checker_source(
+        "check_vector", TRIPLE_REINDEX, TRIPLE_POLYS[5:], _EDGE_OFFSETS[::-1])
+    assert inspect.getsource(_pair_ok) == checker_source(
+        "_pair_ok", PAIR_REINDEX, PAIR_POLYS, (2,))
+
+
+def test_checker_source_rejects_a_monomial_without_a_diagonal():
     # b12*c12*b13 is nonzero with every diagonal 0, so the early accept
     # would be wrong for it
     with pytest.raises(ValueError, match="block-diagonal"):
-        _compile(TRIPLE_REINDEX, (((1, (4, 5, 8)), (1, (3, 4, 5))),), _EDGE_OFFSETS)
+        checker_source("check", TRIPLE_REINDEX, (((1, (4, 5, 8)), (1, (3, 4, 5))),), _EDGE_OFFSETS)
+
+
+@pytest.mark.parametrize("coeff", [2, -2, 0])
+def test_checker_source_rejects_a_coefficient_other_than_one(coeff):
+    # the text writes each monomial with its sign alone, so 2*a1*a1*d
+    # would be tested as a1*a1*d
+    with pytest.raises(ValueError, match=r"^every coefficient must be \+1 or -1$"):
+        checker_source("check", PAIR_REINDEX, (((coeff, (0, 0, 5)), (-1, (2, 3, 4))),), (2,))
 
 
 # Coarse label of a gauged block by its zero pattern (a, b, c, d nonzero?).
