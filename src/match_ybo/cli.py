@@ -7,13 +7,14 @@ not be written.
 
 A module that only some commands run is imported inside those commands, so
 each process compiles only what its command needs; importing this module
-loads no more than `verify` runs.
+loads no more than `verify` runs.  `main` runs a command in this process;
+`run` also ends the process, skipping the interpreter's teardown.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
+import atexit
 import json
 import os
 import sys
@@ -307,25 +308,22 @@ def main(argv=None):
 
 
 def run():
-    """The process entry point of `match-ybo` and `python -m match_ybo.cli`:
+    """The process entry point of `match-ybo` and `python -m match_ybo.cli`.
+    It flushes stdout, runs the atexit callbacks and ends at `os._exit` with
     `main`'s exit code, or 120, with nothing on stderr, when stdout could not
-    be written (a closed pipe, a full disk).
-
-    Freezing the heap before returning lets the interpreter's exit-time
-    garbage collections skip every object the command left behind; the
-    operating system reclaims them with the process."""
+    be written (a closed pipe, a full disk); `--help` leaves `main` by
+    SystemExit and exits the usual way."""
     try:
         try:
             rc = main()
         finally:  # also when --help leaves main by SystemExit
             sys.stdout.flush()
     except OSError:
-        # Python flushes stdout again at exit; what is left goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         rc = 120
-    gc.freeze()
-    return rc
+    atexit._run_exitfuncs()
+    sys.stderr.flush()
+    os._exit(rc)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

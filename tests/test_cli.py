@@ -1,5 +1,4 @@
 import copy
-import gc
 import hashlib
 import json
 import os
@@ -33,16 +32,24 @@ def run(capsys, *argv):
     return rc, out
 
 
-def cli_process(*argv, env=None, **kwargs):
-    """`python -m match_ybo.cli argv` in a fresh interpreter that imports
-    this checkout's sources; `env` entries override the inherited ones, and
-    None removes one."""
+# The two ways a process enters `cli.run`: `python -m match_ybo.cli`, and the
+# wrapper pip writes for the `[project.scripts]` entry point `match_ybo.cli:run`.
+LAUNCHERS = {
+    "module": ("-m", "match_ybo.cli"),
+    "console script": ("-c", "import sys; from match_ybo.cli import run; sys.exit(run())"),
+}
+
+
+def cli_process(*argv, env=None, launcher=LAUNCHERS["module"], **kwargs):
+    """`match-ybo argv` in a fresh interpreter, started with the interpreter
+    arguments `launcher`, that imports this checkout's sources; `env`
+    entries override the inherited ones, and None removes one."""
     src = str(Path(match_ybo.__file__).parent.parent)
     path_entries = [src, os.environ.get("PYTHONPATH")]
     merged = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
     merged.update(env or {})
     return subprocess.run(
-        [sys.executable, "-m", "match_ybo.cli", *argv],
+        [sys.executable, *launcher, *argv],
         env={k: v for k, v in merged.items() if v is not None}, timeout=60, **kwargs,
     )
 
@@ -183,8 +190,8 @@ def test_deeply_nested_input_exits_2_without_traceback(tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("kind, code", [("solution", 0), ("corrupted", 1), ("malformed", 2)])
-def test_process_run_matches_in_process_main(capsys, tmp_path, kind, code):
+def verify_input(tmp_path, kind):
+    """A matrix file: a solution, a solution with one entry changed, or not JSON."""
     config = enumerate_transversal(4)[7]
     data = matrix_to_json(rec(Germ(config, generic_point(config))))
     if kind == "corrupted":
@@ -192,13 +199,53 @@ def test_process_run_matches_in_process_main(capsys, tmp_path, kind, code):
     path = write(tmp_path, "m.json", data)
     if kind == "malformed":
         Path(path).write_text("{not json", encoding="ascii")
-    frozen = gc.get_freeze_count()
+    return path
+
+
+@pytest.mark.parametrize("kind, code", [("solution", 0), ("corrupted", 1), ("malformed", 2)])
+def test_process_run_matches_in_process_main(capsys, tmp_path, kind, code):
+    path = verify_input(tmp_path, kind)
     rc, out = run(capsys, "verify", "--matrix", path)
-    # only the process entry point freezes the heap, never a library caller's
-    assert gc.get_freeze_count() == frozen
     assert rc == code
-    proc = cli_process("verify", "--matrix", path, capture_output=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out.encode("ascii"), b"")
+    for name, launcher in LAUNCHERS.items():
+        proc = cli_process("verify", "--matrix", path, launcher=launcher, capture_output=True)
+        assert (name, proc.returncode, proc.stdout, proc.stderr) == (
+            name, rc, out.encode("ascii"), b"")
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS.values(), ids=LAUNCHERS)
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_process_flushes_all_of_a_long_output(capsys, launcher, unbuffered):
+    # 145 KB, more than a pipe holds; the process ends at os._exit, so only
+    # the flush in run writes what the buffer still holds
+    rc, out = run(capsys, "enumerate", "--n", "8", "--format", "text")
+    assert (rc, len(out) > 65536) == (0, True)
+    proc = cli_process("enumerate", "--n", "8", "--format", "text", launcher=launcher,
+                       env={"PYTHONUNBUFFERED": unbuffered}, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode("ascii"), b"")
+
+
+# An atexit callback registered before the command runs, as a `.pth` hook in
+# site-packages may do, still runs before the process ends; argv[1] is what
+# it writes to stderr.
+WITH_ATEXIT_CALLBACK = (
+    "import atexit, sys; atexit.register(sys.stderr.write, sys.argv.pop(1)); "
+    "from match_ybo.cli import run; sys.exit(run())"
+)
+
+
+# Buffered stderr is line buffered: only the flush in run writes a line with
+# no end.
+@pytest.mark.parametrize("line", ["callback ran\n", "callback ran"], ids=["ended", "unended"])
+@pytest.mark.parametrize("kind, code", [("solution", 0), ("malformed", 2)])
+def test_process_runs_atexit_callbacks(capsys, tmp_path, kind, code, line):
+    path = verify_input(tmp_path, kind)
+    rc, out = run(capsys, "verify", "--matrix", path)
+    assert rc == code
+    proc = cli_process(line, "verify", "--matrix", path, env={"PYTHONUNBUFFERED": None},
+                       launcher=("-c", WITH_ATEXIT_CALLBACK), capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out.encode("ascii"),
+                                                           line.encode("ascii"))
 
 
 @pytest.mark.parametrize("unbuffered", ["1", None])
@@ -207,18 +254,19 @@ def test_unwritable_stdout_exits_120_without_stderr(target, unbuffered):
     if target != "closed pipe" and not os.path.exists(target):
         pytest.skip(f"no {target} on this platform")
     # argparse writes --help itself and then raises SystemExit(0)
-    for argv in (["enumerate", "--n", "3", "--format", "text"], ["--help"]):
+    for argv, launcher in product((["enumerate", "--n", "3", "--format", "text"], ["--help"]),
+                                  LAUNCHERS.values()):
         if target == "closed pipe":
             read_end, stdout = os.pipe()
             os.close(read_end)
         else:
             stdout = os.open(target, os.O_WRONLY)
         try:
-            proc = cli_process(*argv, env={"PYTHONUNBUFFERED": unbuffered},
+            proc = cli_process(*argv, env={"PYTHONUNBUFFERED": unbuffered}, launcher=launcher,
                                stdout=stdout, stderr=subprocess.PIPE)
         finally:
             os.close(stdout)
-        assert (argv, proc.returncode, proc.stderr) == (argv, 120, b"")
+        assert (argv, launcher, proc.returncode, proc.stderr) == (argv, launcher, 120, b"")
 
 
 def test_boolean_scalar_exits_2(capsys, tmp_path):
