@@ -9,15 +9,22 @@ A module that only some commands run is imported inside those commands, so
 each process compiles only what its command needs; importing this module
 loads no more than `verify` runs.  `main` runs a command in this process;
 `run` also ends the process, skipping the interpreter's teardown.
+
+The command line is read from one table, `_COMMANDS`, by `parse`, with
+argparse's grammar and messages but not argparse itself: its import, with
+`gettext` and `locale`, and the building of a parser for every command cost
+more than most commands' own work.  Unlike argparse, `parse` takes no prefix
+of an option name for the option.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from .classify import classify
 from .errors import MatchYboError, MalformedInputError
@@ -57,7 +64,7 @@ def _int(text):
     try:
         return parse_int(text)
     except (MalformedInputError, ValueError):  # int() refuses overlong digit strings
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
 
 
 def _config_text(config):
@@ -170,7 +177,7 @@ def cmd_signature(args):
     from .recipe import germ_from_json
     from .signature import signature_check, signature_formula, signature_notation
 
-    if args.germ:
+    if args.germ is not None:
         germ = germ_from_json(_load(args.germ))
         rep = signature_check(germ)
         emit({
@@ -228,77 +235,155 @@ def cmd_selftest(args):
     return 0 if all(r.ok for r in results) else 1
 
 
-class _Parser(argparse.ArgumentParser):
-    """A usage error is malformed input: a JSON error on stdout and exit 2.
-    Help that cannot be written raises, where argparse would swallow the
-    OSError.  Subparsers are built from the same class."""
+# Each command: its function, its help and its options. Each option: its
+# reader (`_int`, `str`, a tuple of choices, or None for a flag), its default,
+# and its help. The default _REQUIRED makes an option required; _ONE_OF makes
+# it one of a group of which exactly one is given, and None when it is not.
+_REQUIRED, _ONE_OF = object(), object()
+_COMMANDS = {
+    "enumerate": (cmd_enumerate, "list the transversal T_N", {
+        "--n": (_int, _REQUIRED, f"number of letters, 0..{ENUMERATE_MAX_N}"),
+        "--format": (("json", "text"), "json", ""),
+    }),
+    "build": (cmd_build, "matrix of a germ (generic point when params omitted)", {
+        "--germ": (str, _REQUIRED, "germ or configuration JSON file"),
+        "--seed": (_int, 0, ""),
+    }),
+    "verify": (cmd_verify, "check the braid relation", {
+        "--matrix": (str, _REQUIRED, ""),
+        "--method": ((*_METHODS, "all"), "all", ""),
+    }),
+    "classify": (cmd_classify, "recover the germ of a solution", {
+        "--matrix": (str, _REQUIRED, ""),
+    }),
+    "signature": (cmd_signature, "degeneracy partition, formula and sample", {
+        "--germ": (str, _ONE_OF, ""),
+        "--config": (str, _ONE_OF, ""),
+    }),
+    "orbit": (cmd_orbit, "relabelling orbit of a configuration", {
+        "--config": (str, _REQUIRED,
+                     "configuration JSON file, n <= 8: the scan visits all n! relabellings"),
+        "--flip": (None, False, ""),
+    }),
+    "fibre": (cmd_fibre, "finite-field fibre census", {
+        "--type": (str, None, 'e.g. "0,+,+" (omit for the full report); '
+                   'a type starting with "-" needs the form --type=-,+,+'),
+        "--prime": (_int, 11, f"an odd prime, 3..{FIBRE_MAX_PRIME}: "
+                    "the all-slash fibre has (p-1)^6 vectors"),
+    }),
+    "selftest": (cmd_selftest, "run the acceptance checks", {
+        "--level": (("quick", "full"), "quick", ""),
+    }),
+}
 
-    def error(self, message):
-        raise MalformedInputError(f"{self.prog}: {message}")
 
-    def print_help(self, file=None):
-        (file or sys.stdout).write(self.format_help())
+def _is_option(word):
+    """argparse's rule: a word that starts with "-" reads as an option, unless
+    it is "-", a negative number or a word with a space."""
+    return (word[:1] == "-" and word != "-" and " " not in word
+            and not re.match(r"^-\d+$|^-\d*\.\d+$", word))
 
 
-def build_parser():
-    parser = _Parser(
-        prog="match-ybo",
-        description="charge-conserving Yang-Baxter operators from matching data",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _choose(value, choices):
+    if value not in choices:
+        raise ValueError(f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
+    return value
 
-    p = sub.add_parser("enumerate", help="list the transversal T_N")
-    p.add_argument("--n", type=_int, required=True,
-                   help=f"number of letters, 0..{ENUMERATE_MAX_N}")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("build", help="matrix of a germ (generic point when params omitted)")
-    p.add_argument("--germ", required=True, help="germ or configuration JSON file")
-    p.add_argument("--seed", type=_int, default=0)
-    p.set_defaults(func=cmd_build)
+def _value(reader, eq, value, words):
+    """An option's value: `value` after "=", or else the next word. A
+    ValueError holds argparse's message."""
+    if reader is None:
+        if eq:
+            raise ValueError(f"ignored explicit argument {value!r}")
+        return True
+    if not eq:
+        value = next(words, None)
+        if value is None or _is_option(value):
+            raise ValueError("expected one argument")
+    return _choose(value, reader) if isinstance(reader, tuple) else reader(value)
 
-    p = sub.add_parser("verify", help="check the braid relation")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--method", choices=("direct", "constraints", "subsets", "all"), default="all")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("classify", help="recover the germ of a solution")
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(func=cmd_classify)
+def _print_help(command):
+    """The help of `command`, or of the CLI when it is None, on stdout."""
+    if command is None:
+        usage = ["[-h]", f"{{{','.join(_COMMANDS)}}}", "..."]
+        lines = ["", "charge-conserving Yang-Baxter operators from matching data", "", "commands:"]
+        rows = [(name, text) for name, (_, text, _) in _COMMANDS.items()]
+    else:
+        usage, group, lines = [command, "[-h]"], [], ["", "options:"]
+        rows = [("-h, --help", "show this help message and exit")]
+        for name, (reader, default, text) in _COMMANDS[command][2].items():
+            if isinstance(reader, tuple):
+                name += " {" + ",".join(reader) + "}"
+            elif reader is not None:
+                name += " " + name[2:].upper()
+            rows.append((name, text))
+            if default is _ONE_OF:
+                group.append(name)
+            else:
+                usage.append(name if default is _REQUIRED else f"[{name}]")
+        usage += [f"({' | '.join(group)})"] if group else []
+    width = max(len(left) for left, _ in rows)
+    lines += [f"  {left:{width}}  {text}".rstrip() for left, text in rows]
+    print(" ".join(["usage: match-ybo", *usage]), *lines, sep="\n")
 
-    p = sub.add_parser("signature", help="degeneracy partition, formula and sample")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--germ")
-    group.add_argument("--config")
-    p.set_defaults(func=cmd_signature)
 
-    p = sub.add_parser("orbit", help="relabelling orbit of a configuration")
-    p.add_argument("--config", required=True,
-                   help="configuration JSON file, n <= 8: the scan visits all n! relabellings")
-    p.add_argument("--flip", action="store_true")
-    p.set_defaults(func=cmd_orbit)
-
-    p = sub.add_parser("fibre", help="finite-field fibre census")
-    p.add_argument("--type", default=None, help='e.g. "0,+,+" (omit for the full report); '
-                   'a type starting with "-" needs the form --type=-,+,+')
-    p.add_argument("--prime", type=_int, default=11,
-                   help=f"an odd prime, 3..{FIBRE_MAX_PRIME}: the all-slash fibre has (p-1)^6 vectors")
-    p.set_defaults(func=cmd_fibre)
-
-    p = sub.add_parser("selftest", help="run the acceptance checks")
-    p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.set_defaults(func=cmd_selftest)
-
-    return parser
+def parse(argv):
+    """The command function and its options, read from `argv` by argparse's
+    rules without abbreviations: a value follows its option after a space or
+    "=", and the last one given wins. A bad option is an error when it is
+    read; after the last word, a missing option, then any stray word. `-h` or
+    `--help` prints the help of the command read so far and raises
+    SystemExit(0)."""
+    prog, command, options, given, stray = "match-ybo", None, {}, [], []
+    words = iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            _print_help(command)
+            raise SystemExit(0)
+        name, eq, value = word.partition("=")
+        try:
+            if name in ("-h", "--help"):
+                name = "-h/--help"
+                raise ValueError(f"ignored explicit argument {value!r}")
+            if name in options:
+                reader, default, _ = options[name]
+                values[name[2:]] = _value(reader, eq, value, words)
+                other = [o for o in given if o != name and options[o][1] is _ONE_OF]
+                if default is _ONE_OF and other:
+                    raise ValueError(f"not allowed with argument {other[0]}")
+                given.append(name)
+            elif word == "--":
+                stray += [word, *words]
+            elif command is None and not _is_option(word):
+                name = "command"
+                command = _choose(word, _COMMANDS)
+                func, _, options = _COMMANDS[command]
+                values = {o[2:]: None if d is _ONE_OF else d for o, (_, d, _) in options.items()}
+                prog = f"match-ybo {command}"
+            else:
+                stray.append(word)
+        except ValueError as exc:
+            raise MalformedInputError(f"{prog}: argument {name}: {exc}") from None
+    missing = [o for o, (_, default, _) in options.items() if default is _REQUIRED and o not in given]
+    if command is None or missing:
+        raise MalformedInputError(
+            f"{prog}: the following arguments are required: {', '.join(missing or ['command'])}")
+    group = [o for o, (_, default, _) in options.items() if default is _ONE_OF]
+    if group and not set(group) & set(given):
+        raise MalformedInputError(f"{prog}: one of the arguments {' '.join(group)} is required")
+    if stray:
+        raise MalformedInputError(f"match-ybo: unrecognized arguments: {' '.join(stray)}")
+    return func, SimpleNamespace(**values)
 
 
 def main(argv=None):
     """Run one command in this process and return its exit code. A failed
     write to stdout raises the OSError."""
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        func, args = parse(sys.argv[1:] if argv is None else argv)
+        return func(args)
     except MalformedInputError as exc:
         emit({"error": str(exc)})
         return 2
@@ -311,15 +396,18 @@ def run():
     """The process entry point of `match-ybo` and `python -m match_ybo.cli`.
     It flushes stdout, runs the atexit callbacks and ends at `os._exit` with
     `main`'s exit code, or 120, with nothing on stderr, when stdout could not
-    be written (a closed pipe, a full disk); `--help` leaves `main` by
-    SystemExit and exits the usual way."""
-    try:
-        try:
-            rc = main()
-        finally:  # also when --help leaves main by SystemExit
-            sys.stdout.flush()
-    except OSError:
+    be written (a closed pipe, a full disk, no fd 1 at start); `--help` leaves
+    `main` by SystemExit and exits the usual way."""
+    if sys.stdout is None:  # fd 1 was closed at start: run nothing
         rc = 120
+    else:
+        try:
+            try:
+                rc = main()
+            finally:  # also when --help leaves main by SystemExit
+                sys.stdout.flush()
+        except OSError:
+            rc = 120
     atexit._run_exitfuncs()
     sys.stderr.flush()
     os._exit(rc)

@@ -249,13 +249,19 @@ def test_process_runs_atexit_callbacks(capsys, tmp_path, kind, code, line):
 
 
 @pytest.mark.parametrize("unbuffered", ["1", None])
-@pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])
+@pytest.mark.parametrize("target", ["closed pipe", "/dev/full", "no fd 1"])
 def test_unwritable_stdout_exits_120_without_stderr(target, unbuffered):
-    if target != "closed pipe" and not os.path.exists(target):
+    if target == "/dev/full" and not os.path.exists(target):
         pytest.skip(f"no {target} on this platform")
-    # argparse writes --help itself and then raises SystemExit(0)
-    for argv, launcher in product((["enumerate", "--n", "3", "--format", "text"], ["--help"]),
-                                  LAUNCHERS.values()):
+    # the help printer writes --help and then raises SystemExit(0); with no
+    # fd 1 at start, Python sets sys.stdout to None
+    for argv, launcher in product((["enumerate", "--n", "3", "--format", "text"], ["nosuch"],
+                                   ["--help"]), LAUNCHERS.values()):
+        if target == "no fd 1":
+            proc = cli_process(*argv, env={"PYTHONUNBUFFERED": unbuffered}, launcher=launcher,
+                               preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE)
+            assert (argv, launcher, proc.returncode, proc.stderr) == (argv, launcher, 120, b"")
+            continue
         if target == "closed pipe":
             read_end, stdout = os.pipe()
             os.close(read_end)
@@ -646,7 +652,7 @@ def test_fibre_rejects_prime_over_the_bound(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    "fibre --type -,0,0",  # argparse reads "-,0,0" as an option, so --type has no value
+    "fibre --type -,0,0",  # "-,0,0" reads as an option, so --type has no value
     "frobnicate",
     "verify",
     "fibre --prime x",
@@ -659,6 +665,117 @@ def test_usage_errors_are_json_errors(capsys, argv):
     assert rc == 2
     assert set(json.loads(captured.out)) == {"error"}
     assert captured.err == ""
+
+
+COMMANDS = "'enumerate', 'build', 'verify', 'classify', 'signature', 'orbit', 'fibre', 'selftest'"
+METHODS = "'direct', 'constraints', 'subsets', 'all'"
+T_2_TEXT = "1: 12\n2: 1 2\n3: 1 2'\n4: 1 | 2\nT_2 = 4\n"
+# A row whose output is the help of the command line given.
+HELP_OF = "help of"
+
+# The usage contract: each command line, split at single spaces, and its exit
+# code and stdout; a string is a JSON error with exit 2. A value follows its
+# option after a space or an "=", the last value given wins, and a value
+# after a space may not look like an option unless it is a negative number.
+# Errors are raised in the order argparse raises them: a bad option at once,
+# then a missing required option, then the words left unread.
+USAGE_ROWS = {
+    "": "match-ybo: the following arguments are required: command",
+    "-x": "match-ybo: the following arguments are required: command",
+    "frobnicate": f"match-ybo: argument command: invalid choice: 'frobnicate' (choose from {COMMANDS})",
+    # an option before the command is a stray word, and its value is read as the command
+    "--prime 5 fibre": f"match-ybo: argument command: invalid choice: '5' (choose from {COMMANDS})",
+    "-x enumerate --n 2 --y": "match-ybo: unrecognized arguments: -x --y",
+    "verify": "match-ybo verify: the following arguments are required: --matrix",
+    "enumerate -n 3": "match-ybo enumerate: the following arguments are required: --n",
+    "enumerate -- --n 2": "match-ybo enumerate: the following arguments are required: --n",
+    "enumerate --n": "match-ybo enumerate: argument --n: expected one argument",
+    "enumerate --n --3": "match-ybo enumerate: argument --n: expected one argument",
+    "fibre --type -,0,0": "match-ybo fibre: argument --type: expected one argument",
+    "fibre --type --prime 3": "match-ybo fibre: argument --type: expected one argument",
+    "fibre --prime x": "match-ybo fibre: argument --prime: invalid int value: 'x'",
+    "enumerate --n= 3": "match-ybo enumerate: argument --n: invalid int value: ''",
+    "enumerate --n x --n 3": "match-ybo enumerate: argument --n: invalid int value: 'x'",
+    "enumerate --n -1": "n must be nonnegative",  # a negative number is a value
+    "enumerate --n 3 --format xml":
+        "match-ybo enumerate: argument --format: invalid choice: 'xml' (choose from 'json', 'text')",
+    "verify --matrix m --method bogus":
+        f"match-ybo verify: argument --method: invalid choice: 'bogus' (choose from {METHODS})",
+    "verify --matrix m --method all --method bogus":
+        f"match-ybo verify: argument --method: invalid choice: 'bogus' (choose from {METHODS})",
+    "selftest --level slow":
+        "match-ybo selftest: argument --level: invalid choice: 'slow' (choose from 'quick', 'full')",
+    "fibre --prime 5 --jobs 2": "match-ybo: unrecognized arguments: --jobs 2",
+    "enumerate --n 3 extra": "match-ybo: unrecognized arguments: extra",
+    "enumerate --n 2 -1": "match-ybo: unrecognized arguments: -1",
+    "fibre -- --type": "match-ybo: unrecognized arguments: -- --type",
+    "orbit --flip=1": "match-ybo orbit: argument --flip: ignored explicit argument '1'",
+    "enumerate --n 2 --help=x":
+        "match-ybo enumerate: argument -h/--help: ignored explicit argument 'x'",
+    "signature --germ a --config b":
+        "match-ybo signature: argument --config: not allowed with argument --germ",
+    "signature --config b --germ a":
+        "match-ybo signature: argument --germ: not allowed with argument --config",
+    "signature": "match-ybo signature: one of the arguments --germ --config is required",
+    "fibre --type=": "bad fibre type ('',)",
+    "signature --germ=": "[Errno 2] No such file or directory: ''",
+    "enumerate --n x -h": "match-ybo enumerate: argument --n: invalid int value: 'x'",
+    "enumerate --n 3 --n 4 --format text --n 2": (0, T_2_TEXT),
+    "enumerate --n=2 --format=text": (0, T_2_TEXT),
+    "enumerate --n 3 -h --bogus": (HELP_OF, "enumerate"),
+    "--help x": (HELP_OF, ""),
+    # a prefix of an option name is a stray word, not the option
+    "fibre --pri 3": "match-ybo: unrecognized arguments: --pri 3",
+    "verify --m x": "match-ybo verify: the following arguments are required: --matrix",
+}
+
+
+def _main_or_help(capsys, argv):
+    """(exit code, stdout) of `main(argv)`; help gives (HELP_OF, stdout)."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 0
+        rc = HELP_OF
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return rc, captured.out
+
+
+@pytest.mark.parametrize("line", USAGE_ROWS)
+def test_usage_contract_is_pinned(capsys, line):
+    want = USAGE_ROWS[line]
+    if isinstance(want, str):
+        want = (2, canonical({"error": want}) + "\n")
+    elif want[0] == HELP_OF:
+        want = _main_or_help(capsys, [*want[1].split(), "--help"])
+    assert _main_or_help(capsys, line.split(" ") if line else []) == want
+
+
+# What the help of each command, and of the CLI (""), names: every option or
+# command, and the bounds of the options that have one.
+HELP_NAMES = {
+    "": ["-h", "enumerate", "build", "verify", "classify", "signature", "orbit", "fibre",
+         "selftest"],
+    "enumerate": ["-h, --help", "--n N", "0..10", "--format {json,text}"],
+    "build": ["-h, --help", "--germ GERM", "--seed SEED"],
+    "verify": ["-h, --help", "--matrix MATRIX", "--method {direct,constraints,subsets,all}"],
+    "classify": ["-h, --help", "--matrix MATRIX"],
+    "signature": ["-h, --help", "--germ GERM", "--config CONFIG"],
+    "orbit": ["-h, --help", "--config CONFIG", "n <= 8", "--flip"],
+    "fibre": ["-h, --help", "--type TYPE", "--type=-,+,+", "--prime PRIME", "3..19"],
+    "selftest": ["-h, --help", "--level {quick,full}"],
+}
+
+
+@pytest.mark.parametrize("command", HELP_NAMES)
+def test_help_names_every_option(capsys, command):
+    argv = [*command.split(), "--help"]
+    rc, out = _main_or_help(capsys, argv)
+    proc = cli_process(*argv, capture_output=True, text=True)
+    assert (rc, proc.returncode, proc.stdout, proc.stderr) == (HELP_OF, 0, out, "")
+    assert proc.stdout.startswith(" ".join(["usage: match-ybo", *command.split(), "[-h]"]))
+    assert [name for name in HELP_NAMES[command] if name not in proc.stdout] == []
 
 
 def test_help_still_prints_usage(capsys):
@@ -730,7 +847,7 @@ def test_fibre_single(capsys):
 
 
 def test_fibre_type_starting_with_minus(capsys):
-    # argparse takes "-,+,+" after a space for an option; "=" attaches it
+    # after a space "-,+,+" reads as an option; "=" attaches it
     rc, out = run(capsys, "fibre", "--type=-,+,+", "--prime", "5")
     assert rc == 0
     assert json.loads(out) == {"type": "-,+,+", "prime": 5, "solutions": 36, "matches_family": True}

@@ -10,7 +10,7 @@ from pathlib import Path
 from types import ModuleType
 
 import match_ybo
-from match_ybo.diagrams import enumerate_transversal
+from match_ybo.diagrams import configuration_to_json, enumerate_transversal
 from match_ybo.matchcat import matrix_to_json
 from match_ybo.recipe import Germ, generic_point, rec
 
@@ -96,8 +96,9 @@ def test_every_import_is_read():
     assert unread == []
 
 
-# Every library module, and two stdlib modules the library never needs.
-WATCHED = ["dataclasses", "inspect"] + [
+# Every library module, and stdlib modules the library never needs: the CLI
+# reads its command line without argparse, and so without gettext or locale.
+WATCHED = ["argparse", "dataclasses", "gettext", "inspect", "locale"] + [
     f"match_ybo.{path.stem}" for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"
 ]
 # What `import match_ybo.cli` loads, and all that every verify method needs.
@@ -132,8 +133,8 @@ def _loaded_after_each_step(commands):
 
 
 def test_cli_imports_only_what_its_command_runs(tmp_path):
-    # A command sees the modules an earlier one loaded, so verify/classify and
-    # fibre each get their own interpreter.
+    # A command sees the modules an earlier one loaded, so verify/classify,
+    # fibre and the other commands each get their own interpreter.
     config = enumerate_transversal(4)[3]
     path = tmp_path / "m.json"
     path.write_text(json.dumps(matrix_to_json(rec(Germ(config, generic_point(config))))))
@@ -151,6 +152,21 @@ def test_cli_imports_only_what_its_command_runs(tmp_path):
         ["fibre", "--type=0,+,+", "--prime", "3"],
         ["fibre", "--prime", "3"],
     ]) == [["import", CLI_CORE], ["fibre", 0, fibre], ["fibre", 0, fibre]]
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps(configuration_to_json(config)))
+    diagrams = sorted([*CLI_CORE, "match_ybo.diagrams"])
+    recipe = sorted([*diagrams, "match_ybo.recipe"])
+    assert _loaded_after_each_step([
+        ["enumerate", "--n", "2"],
+        ["orbit", "--config", str(config_path)],
+        ["build", "--germ", str(config_path)],
+        ["signature", "--config", str(config_path)],
+        ["selftest", "--level", "quick"],
+    ]) == [
+        ["import", CLI_CORE], ["enumerate", 0, diagrams], ["orbit", 0, diagrams],
+        ["build", 0, recipe], ["signature", 0, sorted([*recipe, "match_ybo.signature"])],
+        ["selftest", 0, [m for m in WATCHED if m.startswith("match_ybo.")]],
+    ]
 
 
 # Records are named tuples, every command runs in one process, and options
