@@ -20,7 +20,7 @@ read off representative blocks.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 from .errors import NotASolutionError
 from .matchcat import (
@@ -165,42 +165,37 @@ def six_rule_check(triple) -> bool:
 # Recovery of the combinatorial data.
 
 
-def _components(vertices, adjacent):
-    """Connected components (sorted tuples, sorted) of a symmetric relation."""
-    vertices = sorted(vertices)
-    seen = set()
-    comps = []
-    for s in vertices:
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        seen.add(s)
-        while stack:
-            u = stack.pop()
-            for v in vertices:
-                if v not in seen and adjacent(min(u, v), max(u, v)):
-                    seen.add(v)
-                    comp.add(v)
-                    stack.append(v)
-        comps.append(tuple(sorted(comp)))
-    return sorted(comps)
+def _classes(vertices, same):
+    """Classes (sorted tuples, sorted) of a relation taken as an equivalence:
+    the least letter left, with every remaining letter `same` to it, until
+    no letter is left."""
+    rest = sorted(vertices)
+    classes = []
+    while rest:
+        least, *others = rest
+        cls, rest = [least], []
+        for v in others:
+            (cls if same(least, v) else rest).append(v)
+        classes.append(tuple(cls))
+    return tuple(classes)
 
 
 def recover_nations(m, labels):
-    """The letters cut into nations: components of the non-slash edges."""
-    return tuple(_components(
-        range(1, m.n + 1),
-        lambda i, j: labels[(i, j)] != "/",
-    ))
+    """The letters cut into nations: classes of the non-slash edges.
+
+    On a solution "not slash" is an equivalence relation, since rec puts
+    slash edges exactly between nations and relabelling and X-rescaling keep
+    labels; on any other matrix classify rejects whatever germ is read."""
+    return _classes(range(1, m.n + 1), lambda i, j: labels[(i, j)] != "/")
 
 
 def recover_counties(nation_vertices, labels):
-    """One nation's letters cut into counties: components of the zero edges."""
-    return tuple(_components(
-        nation_vertices,
-        lambda i, j: labels[(i, j)] == "0",
-    ))
+    """One nation's letters cut into counties: classes of the zero edges.
+
+    On a solution "zero" is an equivalence relation within a nation, since
+    rec puts zero edges exactly inside counties; as for nations, nothing
+    else is accepted whatever is read."""
+    return _classes(nation_vertices, lambda i, j: labels[(i, j)] == "0")
 
 
 def recover_order(counties, labels):
@@ -260,12 +255,14 @@ def _read_germ(m, labels):
     from .recipe import Germ, ParamPoint
 
     nations = []
+    least = []
     alpha = {}
     beta = {}
     for idx, nat_v in enumerate(recover_nations(m, labels), start=1):
         ordered = recover_order(recover_counties(nat_v, labels), labels)
         tags = recover_colours(m, ordered)
         nations.append(Nation(tuple(County(c, t) for c, t in zip(ordered, tags))))
+        least.append(nat_v[0])
         alpha[idx] = m.vertices[ordered[0][0] - 1]
         if "second" in tags:
             beta[idx] = m.vertices[ordered[tags.index("second")][0] - 1]
@@ -274,20 +271,17 @@ def _read_germ(m, labels):
             blk = m.edges[(u, v)]
             beta[idx] = blk.a + blk.d - alpha[idx]
 
-    vert_nation = {v: i for i, nat in enumerate(nations, start=1) for v in nat.vertices}
+    # rec gives every edge between two nations their product: read one.
     mu = {}
     mu_sq = {}
-    for u, v in edge_pairs(m.n):
-        key = tuple(sorted((vert_nation[u], vert_nation[v])))
-        if key[0] == key[1] or key in mu or key in mu_sq:
-            continue
+    for (i, u), (j, v) in combinations(enumerate(least, start=1), 2):
         blk = m.edges[(u, v)]
         prod = blk.b * blk.c
         root = rational_sqrt(prod)
         if root is not None:
-            mu[key] = root
+            mu[(i, j)] = root
         else:
-            mu_sq[key] = prod
+            mu_sq[(i, j)] = prod
     config = Configuration(m.n, tuple(nations))
     return Germ(config, ParamPoint(mu=mu, alpha=alpha, beta=beta, mu_sq=mu_sq))
 

@@ -69,8 +69,6 @@ def enumerate_multisets(n) -> list:
 
 def euler_count(n) -> int:
     """Count of shape multisets with n boxes, via the Euler transform of 3^(M-1)."""
-    if n < 0:
-        raise MalformedInputError("n must be nonnegative")
     c = [0] * (n + 1)
     for m in range(1, n + 1):
         c[m] = sum(d * 3 ** (d - 1) for d in range(1, m + 1) if m % d == 0)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +34,7 @@ from match_ybo.matchcat import (
     x_equivalent,
 )
 from match_ybo.recipe import Germ, ParamPoint, generic_point, rec
-from match_ybo.ybe import is_solution
+from match_ybo.ybe import constraint_residuals, is_solution
 
 from helpers import NONZERO, draw_point, permute_germ
 from matchcat_oracles import matrix
@@ -386,6 +386,39 @@ def test_classify_rejects_label_mutations_with_a_witness():
             pool.append(label_mutated(m, rng) if rng.random() < 0.5 else m)
     accepted, witnessed = check_accepts_exactly_the_solutions(pool)
     assert accepted >= 20 and witnessed >= 150
+
+
+def transitive(letters, related):
+    return all(
+        related(min(i, k), max(i, k))
+        for i, j, k in permutations(letters, 3)
+        if related(min(i, j), max(i, j)) and related(min(j, k), max(j, k))
+    )
+
+
+def test_classify_verdict_and_message_depend_on_the_matrix_alone():
+    # classify takes nations and counties as classes of the non-slash and the
+    # zero edges, which are equivalence relations on a solution only.  On
+    # other labellable matrices the germ it reads is arbitrary, so the verdict
+    # and the message must come from the matrix alone.
+    rng = random.Random(33)
+    accepted = intransitive = 0
+    for n in range(3, 7):
+        for _ in range(100):
+            m = label_pattern_matrix(n, rng)
+            labels = edge_labels(m)
+            if not (transitive(range(1, n + 1), lambda i, j: labels[(i, j)] != "/")
+                    and transitive(range(1, n + 1), lambda i, j: labels[(i, j)] == "0")):
+                intransitive += 1
+            rep = constraint_residuals(m)
+            try:
+                classify(m)
+            except NotASolutionError as exc:
+                assert str(exc) == f"constraints fail, first witness {rep.witnesses[0]}"
+            else:
+                assert rep.zero
+                accepted += 1
+    assert accepted >= 5 and intransitive >= 200
 
 
 def all_labellable(m):

@@ -1,6 +1,8 @@
 import random
 
 from match_ybo import selftest
+from match_ybo.cli import main
+from match_ybo.matchcat import Permutation, act_perm, edge_pairs
 from match_ybo.recipe import Germ, generic_point, rec
 from match_ybo.diagrams import enumerate_transversal
 from match_ybo.selftest import (
@@ -19,22 +21,38 @@ def test_check_registry():
     assert len(set(names)) == 10
 
 
-def test_run_selftest_name_filter():
-    results = run_selftest(level="quick", names=["counts"])
-    assert len(results) == 1
-    assert results[0].name == "counts"
-    assert results[0].ok
-    assert results[0].seconds >= 0
+def test_a_check_that_raises_fails_with_its_exception(monkeypatch, capsys):
+    def check_raises(level):
+        raise ValueError("no table at this level")
+
+    monkeypatch.setattr(selftest, "ALL_CHECKS", (("raises", check_raises),))
+    (result,) = run_selftest("quick")
+    assert (result.name, result.ok) == ("raises", False)
+    assert result.detail == "ValueError: no table at this level"
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL raises: ValueError: no table at this level (")
+    assert out.count("\n") == 1
 
 
 def test_corrupt_breaks_solutions():
+    # Book-order configurations have no minus blocks, their relabellings do:
+    # corrupt every edge of every relabelling of every T_N with N <= 3.
     rng = random.Random(99)
-    for config in enumerate_transversal(3):
-        m = rec(Germ(config, generic_point(config, seed=0)))
-        bad, pair = _corrupt(m, rng)
-        assert pair in bad.edges
-        assert ybe_residual_direct(m).zero
-        assert not ybe_residual_direct(bad).zero
+    minus = 0
+    for n in range(1, 4):
+        for config in enumerate_transversal(n):
+            base = rec(Germ(config, generic_point(config, seed=0)))
+            for w in Permutation.all(n):
+                m = act_perm(base, w)
+                assert ybe_residual_direct(m).zero
+                for p in edge_pairs(n):
+                    blk = m.edges[p]
+                    minus += blk.a == 0 and blk.b != 0 and blk.d != 0
+                    bad, pair = _corrupt(m, rng, pairs={p})
+                    assert pair == p
+                    assert not ybe_residual_direct(bad).zero
+    assert minus > 0
 
 
 def test_frozen_tables_shape():
