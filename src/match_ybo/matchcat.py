@@ -6,9 +6,11 @@ edge i<j acting on the span of (ij),(ji):
 
     A(i,j) = [[a, b], [c, d]]   with entries (ij,ij), (ij,ji), (ji,ij), (ji,ji).
 
-Scalars are Fractions. The sparse operations below work on any exact numbers;
-the verify routes run them on ints (see ybe). Listing order for edges is 12,
-13, 23, 14, 24, 34, ... (new largest letter last).
+Scalars are Fractions. clear_denominators scales a matrix by the lcm of its
+denominators, to int entries, once: the verify routes (see ybe), invertible
+and signature.spectrum then work on Python ints, and the sparse operations
+below work on any exact numbers. Listing order for edges is 12, 13, 23, 14,
+24, 34, ... (new largest letter last).
 
 For composition at other levels, operators are kept sparse, keyed by
 (row word, column word) pairs; charge conservation means every column word is
@@ -29,6 +31,7 @@ the same class, so the verify routes never import diagrams.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import permutations
 from typing import Iterator, NamedTuple
@@ -151,10 +154,28 @@ def x_equivalent(m1, m2) -> bool:
     return x_normalize(m1) == x_normalize(m2)
 
 
+def clear_denominators(m):
+    """(lam, lam*m), lam the lcm of m's denominators; lam*m has int entries.
+    A matrix whose entries are all ints is returned as it is, with lam = 1."""
+    entries = list(m.vertices)
+    for blk in m.edges.values():
+        entries.extend(blk)
+    if all(type(x) is int for x in entries):
+        return 1, m
+    lam = math.lcm(*(x.denominator for x in entries))
+
+    def scale(x):
+        return x.numerator * (lam // x.denominator)
+
+    es = {pair: EdgeBlock(*map(scale, blk)) for pair, blk in m.edges.items()}
+    return lam, MatchMatrix2(m.n, tuple(map(scale, m.vertices)), es)
+
+
 def invertible(m) -> bool:
-    return all(v != 0 for v in m.vertices) and all(
-        blk.a * blk.d - blk.b * blk.c != 0 for blk in m.edges.values()
-    )
+    """Every vertex and every block determinant nonzero.  Scaling by lam != 0
+    keeps that, so the check runs on the cleared ints."""
+    m = clear_denominators(m)[1]
+    return all(m.vertices) and all(a * d != b * c for a, b, c, d in m.edges.values())
 
 
 class SparseOp(NamedTuple):

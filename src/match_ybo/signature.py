@@ -2,9 +2,11 @@
 
 The operator is block diagonal: one 1x1 block per vertex and one 2x2 block
 per edge, so its spectrum is the vertex scalars together with both roots of
-z^2 - (a+d) z + (ad - bc) for every edge.  For a germ at generic parameters
-the multiplicities depend only on the configuration, and a closed formula
-gives them nation by nation:
+z^2 - (a+d) z + (ad - bc) for every edge.  `spectrum` clears denominators
+once and finds these on ints; only the sorted results become Fractions.
+
+For a germ at generic parameters the multiplicities depend only on the
+configuration, and a closed formula gives them nation by nation:
 
   * a pair of nations of sizes Ni, Nj contributes Ni*Nj twice (once +mu,
     once -mu);
@@ -24,25 +26,29 @@ are dropped.
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
+from math import isqrt
 from typing import NamedTuple
 
+from .matchcat import clear_denominators
 from .recipe import rec
-from .scalars import rational_sqrt
 
 
 def spectrum(m):
     """All eigenvalues with multiplicity, sorted; None when some block's
-    eigenvalues are irrational."""
-    values = list(m.vertices)
-    for blk in m.edges.values():
-        tr = blk.a + blk.d
-        det = blk.a * blk.d - blk.b * blk.c
-        root = rational_sqrt(tr * tr - 4 * det)
-        if root is None:
+    eigenvalues are irrational.  Runs on the ints of lam*m: a vertex v gives
+    2v, a block a + d +- isqrt((a - d)^2 + 4bc), and the sorted ints are
+    divided by 2*lam."""
+    lam, m = clear_denominators(m)
+    values = [2 * v for v in m.vertices]
+    for a, b, c, d in m.edges.values():
+        disc = (a - d) ** 2 + 4 * b * c
+        if disc < 0 or (root := isqrt(disc)) ** 2 != disc:
             return None
-        values.append((tr + root) / 2)
-        values.append((tr - root) / 2)
-    return tuple(sorted(values))
+        values.append(a + d + root)
+        values.append(a + d - root)
+    values.sort()
+    return tuple(Fraction(v, 2 * lam) for v in values)
 
 
 def degeneracy_partition(values):

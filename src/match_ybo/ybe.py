@@ -14,8 +14,9 @@ implemented from its own definition, so agreement is a real check.
 
 The braid relation is cubic-homogeneous: lam*m has the verdict of m, and every
 residual is lam^3 times as large.  So each route first clears denominators
-(lam = lcm of all denominators of m), runs on Python ints, and divides only the
-witness values it keeps by lam^3.  Witnesses stay exact rationals.
+with matchcat.clear_denominators (lam = lcm of all denominators of m), runs
+on Python ints, and divides only the witness values it keeps by lam^3.
+Witnesses stay exact rationals.
 
 The eight relations live on the 15 entries of a 3-letter matrix, listed as
 
@@ -28,7 +29,6 @@ matrix whose entries are their own indices.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
@@ -39,6 +39,7 @@ from .matchcat import (
     MatchMatrix2,
     Permutation,
     act_perm,
+    clear_denominators,
     compose,
     decode_word,
     edge_pairs,
@@ -99,23 +100,6 @@ PAIR_POLYS = tuple(
     tuple((coeff, tuple(_PAIR_INDEX[i] for i in mono)) for coeff, mono in poly)
     for poly in TRIPLE_POLYS[:5]
 )
-
-
-def _clear_denominators(m):
-    """(lam, lam*m), lam the lcm of m's denominators; lam*m has int entries.
-    A matrix whose entries are all ints is returned as it is, with lam = 1."""
-    entries = list(m.vertices)
-    for blk in m.edges.values():
-        entries.extend(blk)
-    if all(type(x) is int for x in entries):
-        return 1, m
-    lam = math.lcm(*(x.denominator for x in entries))
-
-    def scale(x):
-        return x.numerator * (lam // x.denominator)
-
-    es = {pair: EdgeBlock(*map(scale, blk)) for pair, blk in m.edges.items()}
-    return lam, MatchMatrix2(m.n, tuple(map(scale, m.vertices)), es)
 
 
 def _report(witnesses, lam) -> ResidualReport:
@@ -182,7 +166,7 @@ def constraint_residuals(m) -> ResidualReport:
     Witnesses are (letters, permutation images, relation index, value),
     sorted, at most MAX_WITNESSES kept.
     """
-    lam, m = _clear_denominators(m)
+    lam, m = clear_denominators(m)
     if m.n == 2:
         groups, getters, polys = [((1, 2), entry_vector(m))], _PAIR_GETTERS, PAIR_POLYS
     else:
@@ -203,7 +187,7 @@ def ybe_residual_direct(m) -> ResidualReport:
 
     Witnesses are (row word, column word, value), sorted.
     """
-    lam, m = _clear_denominators(m)
+    lam, m = clear_denominators(m)
     s = to_sparse(m)
     one = identity_op(m.n)
     f1 = kron(s, one)
@@ -226,7 +210,7 @@ def is_solution_by_subsets(m) -> ResidualReport:
     """
     if m.n < 3:
         return ybe_residual_direct(m)
-    lam, m = _clear_denominators(m)
+    lam, m = clear_denominators(m)
     witnesses = {
         (tuple(letters[t - 1] for t in row), tuple(letters[t - 1] for t in col), val)
         for letters in combinations(range(1, m.n + 1), 3)

@@ -1006,3 +1006,34 @@ def test_verdict_pool_bytes_are_pinned(capsys, tmp_path):
     assert sum("not labellable" in out for _, out in outs) >= 10
     assert sum(rc == 1 and '"sampled":null' in out for rc, out in outs) >= 10
     assert digest.hexdigest() == VERDICT_POOL_SHA256
+
+
+# sha256 of the (exit code, stdout) sequence of `signature --germ` over every
+# T_N germ with N <= 4 at generic_point seeds 0 and 1: each germ as drawn,
+# then with alpha, beta and mu multiplied by a fractional or negative q, then
+# scaled so and with its first mu turned into a mu_sq that is not a square.
+SIGNATURE_GERM_POOL_SHA256 = "602de206dcb7a6d4bead17c9ae58c8d0415fcff97c9c1ef524211ecf29854c5a"
+
+
+def test_signature_germ_pool_bytes_are_pinned(capsys, tmp_path):
+    digest = hashlib.sha256()
+    codes = []
+    factors = [Fraction(v) for v in ("1/2", "-3/2", "2/3", "-1", "5/7", "-4/9")]
+    non_squares = [Fraction(v) for v in (2, -3, "2/3", -1)]
+    germs = []
+    for seed in (0, 1):
+        for config in [c for n in range(1, 5) for c in enumerate_transversal(n)]:
+            pp = generic_point(config, seed=seed)
+            q = factors[len(germs) % len(factors)]
+            scaled = ParamPoint(*({k: q * v for k, v in table.items()} for table in pp))
+            germs += [Germ(config, pp), Germ(config, scaled)]
+            if scaled.mu:
+                (pair, mu), *rest = scaled.mu.items()
+                r = non_squares[len(germs) % len(non_squares)]
+                germs.append(Germ(config, scaled._replace(mu=dict(rest), mu_sq={pair: r * mu * mu})))
+    for germ in germs:
+        rc, out = run(capsys, "signature", "--germ", write(tmp_path, "g.json", germ_to_json(germ)))
+        digest.update(f"{rc}\n{out}".encode("ascii"))
+        codes.append(rc)
+    assert codes.count(0) > codes.count(1) >= 40
+    assert digest.hexdigest() == SIGNATURE_GERM_POOL_SHA256

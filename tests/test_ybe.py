@@ -20,6 +20,7 @@ from match_ybo.matchcat import (
     MatchMatrix2,
     Permutation,
     SparseOp,
+    clear_denominators,
     compose,
     edge_pairs,
     identity_op,
@@ -363,7 +364,7 @@ def test_direct_route_matches_dense_definition(m):
 @settings(max_examples=40, deadline=None)
 @given(rational_matrices())
 def test_sparse_operators_store_no_zero(m):
-    for mat in (m, ybe._clear_denominators(m)[1]):
+    for mat in (m, clear_denominators(m)[1]):
         s, one = to_sparse(mat), identity_op(mat.n)
         f1, f2 = kron(s, one), kron(one, s)
         lhs = compose(compose(f1, f2), f1)
@@ -407,13 +408,13 @@ def test_clear_denominators_keeps_an_int_matrix():
     m = matrix((1, 2, 3), {(1, 2): (4, 5, 6, 7), (1, 3): (8, 9, 0, 1), (2, 3): (2, 3, 4, 5)})
     ints = MatchMatrix2(3, tuple(map(int, m.vertices)),
                         {pair: EdgeBlock(*map(int, blk)) for pair, blk in m.edges.items()})
-    lam, cleared = ybe._clear_denominators(ints)
+    lam, cleared = clear_denominators(ints)
     assert lam == 1 and cleared is ints
-    lam, cleared = ybe._clear_denominators(m)  # Fraction(k, 1) entries
+    lam, cleared = clear_denominators(m)  # Fraction(k, 1) entries
     assert (lam, cleared) == (1, ints)
     assert all(type(x) is int for x in entries(cleared))
     half = from_entries(3, [x / 2 for x in entries(m)])
-    lam, cleared = ybe._clear_denominators(half)
+    lam, cleared = clear_denominators(half)
     assert (lam, cleared) == (2, m)
     assert all(type(x) is int for x in entries(cleared))
 
